@@ -207,7 +207,10 @@ def _cmd_solve(args):
               "residual": gm.final_residual,
               "tail": [gm.tail.real, gm.tail.imag],
               "bbox": list(gm.bbox),
-              "out": args.out}
+              "out": args.out,
+              "timings_ms": gm.timings_ms,
+              "observed_rate": gm.observed_rate,
+              "sup_mu": gm.sup_mu}
     oracle = _disk_oracle_error(mu, gm)
     if oracle is not None:
         result["oracle_sup_error"] = oracle
@@ -358,7 +361,7 @@ def build_parser():
     ps.add_argument("--grid-n", type=int, default=512)
     ps.add_argument("--pad-factor", type=float, default=4.0)
     ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iter", type=int, default=200)
+    ps.add_argument("--max-iter", type=int, default=1000)
     ps.add_argument("--out", required=True, help="output .qcmap path")
     ps.add_argument("--json", default=None)
     ps.set_defaults(func=_cmd_solve)

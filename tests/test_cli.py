@@ -117,6 +117,20 @@ def test_solve_disk_reports_oracle_error(tmp_path, capsys):
     assert abs(complex(tail[0], tail[1]) - 0.5) < 1e-2
 
 
+def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):
+    # |c| = 0.95 needs 231 sweeps at n=256, past the old default of 200
+    fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.95, 0],
+                                  "center": [0, 0], "radius": 1.0})
+    rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "256",
+                      "--out", str(tmp_path / "m.qcmap"))
+    assert rc == 0
+    res = rep["result"]
+    assert res["iterations"] > 200
+    assert set(res["timings_ms"]) == {"sample", "iterate", "cauchy"}
+    assert 0.85 < res["observed_rate"] < 0.95
+    assert res["sup_mu"] == pytest.approx(0.95)
+
+
 def test_solve_round_trip_bit_exact(tmp_path, capsys):
     fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.3, 0.1],
                                   "center": [0, 0], "radius": 1.0})

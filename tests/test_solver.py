@@ -7,10 +7,13 @@ input field.
 """
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from qcmap import solver
 from qcmap.closed_maps import DiskMapSpec, compose_dilatation, eval_fc, \
     eval_fc_inverse, fangle_map, fc_map, sector_invariants
 from qcmap.field import DiskConstant, SectorConstant
@@ -20,11 +23,46 @@ from qcmap.solver import (ConvergenceError, GridMap, SolverConfig,
                           singular_transform, solve_principal)
 
 
+def _reference_cell_kernel(U, hx, hy):
+    """Per-cell four-corner closed form of the hx-by-hy cell kernel."""
+    def G(s):
+        return s * (np.log(s) - 1.0)
+
+    base = 1j * (G(U + hx / 2 - 1j * hy / 2) - G(U - hx / 2 - 1j * hy / 2)
+                 - G(U + hx / 2 + 1j * hy / 2) + G(U - hx / 2 + 1j * hy / 2))
+    inrow = np.abs(U.imag) < hy / 2
+    corr = -2.0 * math.pi * (hx / 2 - np.clip(U.real, -hx / 2, hx / 2))
+    return (base + np.where(inrow, corr, 0.0)) / math.pi
+
+
+def _reference_cauchy(g, spacing):
+    """Cauchy transform with the kernel built per cell at the given spacing."""
+    ny, nx = g.shape
+    dx, dy = spacing
+    ox = (np.fft.fftfreq(2 * nx) * 2 * nx) * dx
+    oy = (np.fft.fftfreq(2 * ny) * 2 * ny) * dy
+    OX, OY = np.meshgrid(ox, oy)
+    K = _reference_cell_kernel(OX + 1j * OY, dx, dy)
+    gp = np.zeros((2 * ny, 2 * nx), dtype=complex)
+    gp[:ny, :nx] = g
+    return np.fft.ifft2(np.fft.fft2(gp) * np.fft.fft2(K))[:ny, :nx]
+
+
 def _bump_grid(n=256, L=4.0, center=0.0, sigma=0.5):
     _, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
     g = np.exp(-np.abs(Z - center) ** 2 / sigma**2).astype(complex)
     h = 2 * L / n
     return Z, g, h
+
+
+def _solver_like_density(n):
+    """An off-center disk plateau plus a smooth bump, inside the inner box.
+
+    White noise would cancel in the Cauchy convolution and leave only the
+    round-off of the four-corner sums, which the kernels under test share.
+    """
+    Z, bump, h = _bump_grid(n=n, center=-1.0 + 0.5j)
+    return (0.5 + 0.3j) * (np.abs(Z - 0.3 - 0.2j) <= 1.0) + bump, h
 
 
 def test_singular_transform_zero():
@@ -92,6 +130,90 @@ def test_cauchy_transform_disk_oracle():
     outer = np.abs(Z) > 1.1
     assert np.abs(P[inner] - np.conj(Z[inner])).max() < 3e-2
     assert np.abs(P[outer] - 1.0 / Z[outer]).max() < 3e-2
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("aspect", [1.0, 2.0])
+def test_cauchy_transform_matches_per_cell_kernel(n, aspect):
+    g, h = _solver_like_density(n)
+    ref = _reference_cauchy(g, (h, aspect * h))
+    out = cauchy_transform(g, spacing=(h, aspect * h))
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_transform_caches_match_fresh_calls():
+    cases = [((n, n), (h, a * h)) for n in (64, 128) for h in (0.05, 0.125)
+             for a in (1.0, 2.0)]
+    grids = {shape: _solver_like_density(shape[0])[0] for shape, _ in cases}
+
+    def both(shape, spacing):
+        g = grids[shape]
+        return (singular_transform(g, spacing=spacing),
+                cauchy_transform(g, spacing=spacing))
+
+    fresh = []
+    for shape, spacing in cases:
+        solver._s_multiplier.cache_clear()
+        solver._kernel_hat.cache_clear()
+        fresh.append(both(shape, spacing))
+    for _ in range(2):
+        for (shape, spacing), (s_ref, c_ref) in zip(cases, fresh):
+            s_out, c_out = both(shape, spacing)
+            assert np.array_equal(s_out, s_ref)
+            assert np.array_equal(c_out, c_ref)
+
+
+def test_transform_caches_are_read_only():
+    mult = solver._s_multiplier(64, 64, 0.1, 0.1)
+    khat = solver._kernel_hat(128, 128, 1.0)
+    for arr in (mult, khat):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_solve_matches_full_grid_neumann_loop():
+    mu = DiskConstant(c=0.6 - 0.3j, center=0.3 + 0.1j, radius=0.8)
+    cfg = SolverConfig(grid_n=64, tol=1e-10)
+    with warnings.catch_warnings():
+        # the support sits inside the box, so no sweep warns
+        warnings.simplefilter("error", RuntimeWarning)
+        gm = solve_principal(mu, cfg)
+    n = (cfg.grid_n, cfg.grid_n)
+    _, _, Z = grid_coordinates(gm.bbox, n)
+    h = (gm.bbox[2] - gm.bbox[0]) / cfg.grid_n
+    m = solver._sample_mu(mu, gm.bbox, n)
+    cur = m.copy()
+    for it in range(1, cfg.max_iter + 1):
+        nxt = m * singular_transform(cur, spacing=(h, h)) + m
+        res = np.abs(nxt - cur).max()
+        cur = nxt
+        if res <= cfg.tol:
+            break
+    assert gm.iterations == it
+    assert gm.final_residual == pytest.approx(res, rel=1e-12)
+    assert np.abs(gm.values - (Z + _reference_cauchy(cur, (h, h)))).max() <= 1e-12
+    assert abs(gm.tail - cur.sum() * h * h / math.pi) <= 1e-12
+
+
+def test_solve_reports_phases_and_rate():
+    gm = solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64))
+    assert set(gm.timings_ms) == {"sample", "iterate", "cauchy"}
+    assert all(v >= 0 for v in gm.timings_ms.values())
+    hist = np.array(gm.residual_history)
+    ratios = hist[1:] / hist[:-1]
+    assert gm.observed_rate == pytest.approx(np.exp(np.log(ratios).mean()))
+    assert gm.sup_mu == pytest.approx(0.5)
+    zero = solve_principal(DiskConstant(c=0.0), SolverConfig(grid_n=64))
+    assert zero.observed_rate is None
+    assert zero.sup_mu == 0.0
+
+
+def test_solve_high_dilatation_at_default_max_iter():
+    # |c| = 0.95 needs 231 sweeps at n=256
+    gm = solve_principal(DiskConstant(c=0.95), SolverConfig(grid_n=256))
+    assert gm.iterations > 200
+    assert gm.final_residual <= 1e-8
 
 
 def test_solve_zero_field_identity():
@@ -187,6 +309,46 @@ def test_gridmap_save_load_round_trip(tmp_path):
 def test_gridmap_load_bad_magic(tmp_path):
     p = tmp_path / "map.qcmap"
     p.write_bytes(b"BADMAGIC" + b"\x00" * 100)
+    with pytest.raises(ValueError):
+        GridMap.load(p)
+
+
+@pytest.mark.parametrize("bbox", [(math.nan, -1, 1, 1), (-1, -1, math.inf, 1),
+                                  (1, -1, -1, 1), (-1, 1, 1, 1), (-1, -1, 1)])
+def test_gridmap_rejects_bad_bbox(bbox):
+    with pytest.raises(ValueError):
+        GridMap(bbox=bbox, values=np.zeros((4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1)])
+def test_gridmap_rejects_grids_below_two_by_two(shape):
+    with pytest.raises(ValueError):
+        GridMap(bbox=(-1, -1, 1, 1), values=np.zeros(shape, dtype=complex))
+
+
+def _qcmap_bytes(nx, ny, payload=b""):
+    return (solver.SOLVER_MAGIC + struct.pack("<II", nx, ny)
+            + struct.pack("<4d", -1, -1, 1, 1) + struct.pack("<2d", 0, 0)
+            + payload)
+
+
+def test_gridmap_load_rejects_zero_dims(tmp_path):
+    p = tmp_path / "map.qcmap"
+    p.write_bytes(_qcmap_bytes(0, 0))
+    with pytest.raises(ValueError, match="zero"):
+        GridMap.load(p)
+
+
+def test_gridmap_load_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "map.qcmap"
+    p.write_bytes(_qcmap_bytes(2, 2, bytes(16 * 4 + 16)))
+    with pytest.raises(ValueError, match="trailing"):
+        GridMap.load(p)
+
+
+def test_gridmap_load_rejects_truncated_header(tmp_path):
+    p = tmp_path / "map.qcmap"
+    p.write_bytes(_qcmap_bytes(2, 2)[:30])
     with pytest.raises(ValueError):
         GridMap.load(p)
 
