@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .closed_maps import (AmbiguousInverseError, DiskMapSpec, LocusResult,
                           SectorMapSpec, allowable_for_corner, allowable_locus,
                           compose_dilatation, eval_fangle, eval_fc,
-                          eval_fc_inverse, fangle_map, fc_inverse_map, fc_map,
-                          identity_map, is_allowable_sector, sector_invariants)
+                          eval_fc_inverse, fangle_map, fc_map, identity_map,
+                          is_allowable_sector, sector_invariants)
 from .extension import (CircleHomeo, ExtensionReport, extend_F, mu_F,
                         validate_extension)
 from .field import (Composite, DiskConstant, FieldError, HolderGrid,
@@ -39,7 +39,7 @@ __all__ = [
     "cauchy_transform", "certify_bilipschitz", "compose_dilatation",
     "decompose_modulus_gap", "default_eta", "eval_fangle", "eval_fc",
     "eval_fc_inverse", "eval_gridmap", "evaluate", "extend_F", "fangle_map",
-    "fc_inverse_map", "fc_map", "field_from_json", "finite_difference_mu",
+    "fc_map", "field_from_json", "finite_difference_mu",
     "grid_coordinates", "holder_check", "identity_map", "is_allowable_sector",
     "lehto_check", "lehto_integral", "modulus", "modulus_gap_bounds", "mu_F",
     "read_grid_samples", "sector_invariants", "singular_transform",

@@ -1,4 +1,4 @@
-"""Command-line interface: allowability, locus tracing, solving, certification.
+"""Command-line interface: allowability, locus, solving, certification, rendering.
 
 Every command prints a JSON run report to stdout and optionally writes its
 artifact (CSV locus, binary grid map, JSON certificate, PPM image) through an
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
-                          fc_map, identity_map, is_allowable_sector,
-                          sector_invariants)
+                          fc_map, identity_map, sector_invariants,
+                          unrotate_corner)
 from .field import DiskConstant, FieldError, field_from_json
 from .modulus import NotSeparatedError, certify_bilipschitz
 from .solver import ConvergenceError, GridMap, SolverConfig, SupportError, \
@@ -48,8 +48,6 @@ def _parse_map(source):
             return identity_map, {"kind": "identity"}
         if rest.startswith("fc:"):
             c = _parse_complex(rest[len("fc:"):])
-            if abs(c) >= 1:
-                raise ValueError(f"builtin fc needs |c| < 1, got {abs(c)}")
             return fc_map(c), {"kind": "fc", "c": [c.real, c.imag]}
         if rest.startswith("fangle:"):
             body = rest[len("fangle:"):]
@@ -59,8 +57,6 @@ def _parse_map(source):
                 raise ValueError(f"expected builtin:fangle:re,im:theta0, got {source!r}")
             c = _parse_complex(c_text)
             theta0 = float(theta_text)
-            if abs(c) >= 1:
-                raise ValueError(f"builtin fangle needs |c| < 1, got {abs(c)}")
             return fangle_map(c, theta0), {"kind": "fangle",
                                            "c": [c.real, c.imag],
                                            "theta0": theta0}
@@ -121,27 +117,17 @@ def _emit(command, config, result, t0, out_path=None):
 def _cmd_allowable(args):
     t0 = time.perf_counter()
     c = args.c
-    if abs(c) >= 1.0:
-        print(f"error: need |c| < 1, got |c| = {abs(c)}", file=sys.stderr)
+    try:
+        if args.alpha is not None:
+            beta = args.beta or 0.0
+            c_eff, theta0 = unrotate_corner(c, args.alpha, beta)
+            mode = "corner"
+        else:
+            c_eff, theta0, beta, mode = c, args.theta0, None, "sector"
+        spec = sector_invariants(c_eff, theta0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.alpha is not None:
-        alpha = args.alpha
-        if not (0.0 < alpha < 2.0):
-            print(f"error: alpha must lie in (0, 2), got {alpha}", file=sys.stderr)
-            return 2
-        beta = args.beta or 0.0
-        c_eff = c * np.exp(-2j * beta)
-        theta0 = alpha * math.pi
-        mode = "corner"
-    else:
-        c_eff = c
-        theta0 = args.theta0
-        beta = None
-        mode = "sector"
-    if not (0.0 < theta0 < 2.0 * math.pi):
-        print(f"error: opening must lie in (0, 2*pi), got {theta0}", file=sys.stderr)
-        return 2
-    spec = sector_invariants(c_eff, theta0)
     verdict = abs(spec.lam.real - 1.0) <= args.tol
     result = {"mode": mode,
               "theta0": theta0,
@@ -159,11 +145,11 @@ def _cmd_allowable(args):
 
 def _cmd_locus(args):
     t0 = time.perf_counter()
-    if not (0.0 < args.theta0 < 2.0 * math.pi):
-        print(f"error: theta0 must lie in (0, 2*pi), got {args.theta0}",
-              file=sys.stderr)
+    try:
+        locus = allowable_locus(args.theta0, samples=args.samples)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    locus = allowable_locus(args.theta0, samples=args.samples)
     lines = ["re,im"]
     for p in locus.points:
         lines.append(f"{p.real:.17g},{p.imag:.17g}")
@@ -349,9 +335,10 @@ def build_parser():
     pa.add_argument("--json", default=None, help="also write the report here")
     pa.set_defaults(func=_cmd_allowable)
 
-    pl = sub.add_parser("locus", help="trace the allowable locus to CSV")
+    pl = sub.add_parser("locus", help="sample the allowable locus to CSV")
     pl.add_argument("--theta0", type=float, required=True)
-    pl.add_argument("--samples", type=int, default=256)
+    pl.add_argument("--samples", type=int, default=256,
+                    help="points along the arc of the locus")
     pl.add_argument("--out", required=True)
     pl.add_argument("--json", default=None)
     pl.set_defaults(func=_cmd_locus)

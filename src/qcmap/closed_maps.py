@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
 class AmbiguousInverseError(RuntimeError):
@@ -180,18 +181,26 @@ def is_allowable_sector(c, theta0, tol=1e-9):
     return abs(lam.real - 1.0) <= tol
 
 
-def allowable_for_corner(c, alpha, beta, tol=1e-9):
-    """Allowability at a corner of opening alpha*pi whose arcs sit at angle beta.
+def unrotate_corner(c, alpha, beta):
+    """(c*exp(-2i*beta), alpha*pi): a corner's dilatation and opening as a sector's.
 
-    Unrotating the corner multiplies the dilatation by exp(-2i*beta), so c is
-    allowable for the corner iff c*exp(-2i*beta) is allowable for the standard
-    sector of opening alpha*pi. Openings are restricted to alpha in (0, 2).
+    Unrotating a corner of opening alpha*pi whose arcs sit at angle beta
+    multiplies the dilatation by exp(-2i*beta). Openings are restricted to
+    alpha in (0, 2).
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"corner opening alpha must lie in (0, 2), got {alpha}")
-    return is_allowable_sector(complex(c) * np.exp(-2j * float(beta)),
-                               alpha * math.pi, tol=tol)
+    return complex(c) * np.exp(-2j * float(beta)), alpha * math.pi
+
+
+def allowable_for_corner(c, alpha, beta, tol=1e-9):
+    """Allowability at a corner of opening alpha*pi whose arcs sit at angle beta.
+
+    c is allowable for the corner iff its unrotated dilatation is allowable
+    for the standard sector of opening alpha*pi (see ``unrotate_corner``).
+    """
+    return is_allowable_sector(*unrotate_corner(c, alpha, beta), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -207,48 +216,39 @@ class LocusResult:
     whole_disk: bool
 
 
-def allowable_locus(theta0, samples=256, verify_tol=1e-9):
-    """Trace { c in the unit disk : Re lambda(c, theta0) = 1 } along rays.
+def allowable_locus(theta0, samples=256):
+    """The locus { c in the unit disk : Re lambda(c, theta0) = 1 } in closed form.
 
-    For each of ``samples`` ray directions, scans |c| in (0, 1) for a sign
-    change of Re lambda - 1 (c = 0 is always on the locus and is skipped),
-    bisects, and keeps the root only if it verifies to ``verify_tol``. Rays
-    without a root contribute no point.
+    With log w = log R + i*theta1, Re lambda = 1 is the circle
+    (log R)^2 + (phi - pi)^2 = pi^2 in phi = 2*pi + theta1 - theta0, so
+    log w = i*theta0 + u(s) with u(s) = i*pi*(exp(i*s) - 1), and inverting
+    the Moebius map w(c) gives c + 1 = expm1(2i*theta0) / expm1(2i*theta0 + u).
+    |c| < 1 iff w lies on the side of the real axis of exp(i*theta0), which
+    is the arc |s| < 2*asin(sqrt((theta0 mod pi) / (2*pi))); s = 0 is c = 0.
+    Returns the ``samples`` midpoints of that arc, uniform in s. Only within
+    rounding of the degenerate openings 0, pi and 2*pi can points round onto
+    the unit circle; they are dropped.
     """
     theta0 = float(theta0)
     if not (0.0 < theta0 < _TWO_PI):
         raise ValueError(f"theta0 must lie in (0, 2*pi), got {theta0}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     if abs(theta0 - math.pi) < 1e-15:
         return LocusResult(theta0=theta0, points=np.empty(0, dtype=complex),
                            whole_disk=True)
-
-    def f(cc):
-        return sector_invariants(cc, theta0).lam.real - 1.0
-
-    points = []
-    ts = np.linspace(1e-3, 0.999, 600)
-    for phi in np.linspace(0.0, _TWO_PI, samples, endpoint=False):
-        ray = np.exp(1j * phi)
-        vals = np.array([f(t * ray) for t in ts])
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if idx.size == 0:
-            continue
-        a, b = ts[idx[0]], ts[idx[0] + 1]
-        fa = f(a * ray)
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            fm = f(mid * ray)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b) * ray
-        if abs(f(root)) <= verify_tol:
-            points.append(root)
-    return LocusResult(theta0=theta0,
-                       points=np.asarray(points, dtype=complex),
-                       whole_disk=False)
+    # d = theta0 - k*pi in [-pi/2, pi/2] against a two-part pi, so that near
+    # the degenerate openings expm1(2i*d) keeps the digits of d
+    k = round(theta0 / math.pi)
+    d = (theta0 - k * math.pi) - k * _PI_LO
+    s_max = 2.0 * math.asin(math.sqrt((d if d >= 0.0 else math.pi + d) / _TWO_PI))
+    s = s_max * ((2.0 * np.arange(samples) + 1.0) / samples - 1.0)
+    u = 1j * math.pi * np.expm1(1j * s)
+    rot = 2j * d
+    points = np.expm1(rot) / np.expm1(rot + u) - 1.0
+    # one ulp clear of the unit circle, so every point passes |c| < 1 checks
+    points = points[np.abs(points) < 1.0 - np.finfo(float).eps]
+    return LocusResult(theta0=theta0, points=points, whole_disk=False)
 
 
 def compose_dilatation(mu1, mu2, arg_df2):
@@ -278,11 +278,6 @@ def identity_map(z):
 def fc_map(c):
     spec = _coerce_spec(c)
     return lambda z: eval_fc(spec, z)
-
-
-def fc_inverse_map(c):
-    spec = _coerce_spec(c)
-    return lambda w: eval_fc_inverse(spec, w)
 
 
 def fangle_map(c, theta0):

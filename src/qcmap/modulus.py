@@ -11,6 +11,7 @@ geometric bi-Lipschitz criterion, and an unbounded gap certifies failure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -62,6 +63,12 @@ class BoundingAnnuli:
     @property
     def separated(self):
         return self.R1 < self.rho2
+
+    @property
+    def finite(self):
+        """False if f left the plane: a non-finite image center or radius."""
+        radii = (self.rho1, self.R1, self.rho2, self.R2)
+        return cmath.isfinite(self.image_center) and all(map(math.isfinite, radii))
 
     @property
     def B(self):
@@ -177,11 +184,13 @@ class CertificateReport:
     lipschitz_pairs: int
     verdict: bool
     mu_sup: float = None
+    nonfinite: int = 0
 
     def to_dict(self):
         return {"bound": self.bound,
                 "annuli_tested": self.annuli_tested,
                 "skipped": self.skipped,
+                "nonfinite": self.nonfinite,
                 "sup_gap": self.sup_gap,
                 "lipschitz_min": self.lipschitz_min,
                 "lipschitz_max": self.lipschitz_max,
@@ -212,7 +221,9 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     worst deviation of either bound from M(A); the verdict passes iff the
     supremum of gaps is at most ``bound``. Annuli whose images are not
     separated are skipped (and counted); if everything is skipped the
-    certification cannot run and NotSeparatedError is raised.
+    certification cannot run and NotSeparatedError is raised. Annuli with a
+    non-finite image center or radius are counted in ``nonfinite`` and fail
+    the verdict.
 
     Lipschitz ratios |f(x) - f(y)| / |x - y| over pairs of test points are
     reported as corroborating diagnostics; they are not the criterion.
@@ -233,12 +244,15 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
 
     delta = math.log(r_max / r_min) / annuli_per_center
     records = []
-    skipped = 0
+    skipped = nonfinite = 0
     for x0 in pts:
         for j in range(1, annuli_per_center + 1):
             r1 = r_max * math.exp(-j * delta)
             a = AnnulusSpec(complex(x0), r1, r_max)
             ba = bounding_annuli(f, a, circle_samples)
+            if not ba.finite:
+                nonfinite += 1
+                continue
             if not ba.separated:
                 skipped += 1
                 continue
@@ -249,7 +263,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
             records.append(AnnulusGapRecord(center=complex(x0), r1=r1, r2=r_max,
                                             modulus=m, lower=lower, upper=upper,
                                             gap=gap))
-    if not records:
+    if not records and not nonfinite:
         raise NotSeparatedError("all annuli were skipped as not separated")
 
     rng = np.random.default_rng(seed)
@@ -264,13 +278,13 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     else:
         lip_min = lip_max = float("nan")
 
-    sup_gap = max(r.gap for r in records)
+    sup_gap = max((r.gap for r in records), default=math.nan)
     return CertificateReport(
         bound=float(bound), annuli_tested=len(records), skipped=skipped,
         gaps=records, sup_gap=sup_gap,
         lipschitz_min=lip_min, lipschitz_max=lip_max, lipschitz_pairs=int(ii.size),
-        verdict=sup_gap <= float(bound),
-        mu_sup=None if mu is None else float(mu.sup_norm))
+        verdict=not nonfinite and sup_gap <= float(bound),
+        mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite)
 
 
 def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec,

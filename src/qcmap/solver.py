@@ -195,7 +195,6 @@ class GridMap:
     bbox: tuple
     values: np.ndarray
     tail: complex = 0j
-    off_grid_rule: str = "identity-plus-tail"
     iterations: int = 0
     final_residual: float = 0.0
     residual_history: tuple = ()

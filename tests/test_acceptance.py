@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from qcmap.closed_maps import (DiskMapSpec, allowable_locus, compose_dilatation,
-                               eval_fangle, eval_fc, eval_fc_inverse,
-                               fangle_map, fc_map, identity_map,
+from qcmap.closed_maps import (DiskMapSpec, compose_dilatation, eval_fangle,
+                               eval_fc, eval_fc_inverse, fangle_map, fc_map,
+                               identity_map, is_allowable_sector,
                                sector_invariants)
 from qcmap.extension import CircleHomeo, extend_F, mu_F
 from qcmap.field import DiskConstant
@@ -71,8 +71,9 @@ def test_criterion_3_spiral_scaling_law():
         ratio = vals / rs
         min_variation = min(min_variation, ratio.max() / ratio.min())
 
-    locus = allowable_locus(math.pi / 2, samples=128)
-    c_allow = locus.points[np.argmax(np.abs(locus.points))]
+    # an allowable c at the right angle, |c| = 0.5116
+    c_allow = 0.5060750906886151 + 0.07506914834585444j
+    assert is_allowable_sector(c_allow, math.pi / 2, tol=1e-12)
     spec_a = sector_invariants(c_allow, math.pi / 2)
     th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qcmap import cli
 from qcmap.cli import main
 from qcmap.closed_maps import is_allowable_sector
 from qcmap.field import write_grid_samples
@@ -229,6 +230,26 @@ def test_certify_map_from_file(tmp_path, capsys):
                       "--annuli", "8")
     assert rc == 0
     assert rep["result"]["verdict"] == "pass"
+
+
+def test_certify_nonfinite_map_exits_one(monkeypatch, capsys):
+    def holed(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z) < 0.5, np.nan, z)
+
+    monkeypatch.setattr(cli, "_parse_map",
+                        lambda source: (holed, {"kind": "holed"}))
+    rc, rep = run_cli(capsys, "certify", "--map", "holed",
+                      "--centers", "0,0;1,0", "--bound", "1.0")
+    assert rc == 1
+    assert rep["result"]["verdict"] == "fail"
+    assert rep["result"]["nonfinite"] > 0
+
+
+def test_locus_rejects_no_samples(tmp_path, capsys):
+    rc, _ = run_cli(capsys, "locus", "--theta0", "1.0", "--samples", "0",
+                    "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
 
 
 def test_certify_bad_map_source(capsys):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcmap.closed_maps import (AmbiguousInverseError, DiskMapSpec,
                                allowable_for_corner, allowable_locus,
@@ -193,10 +195,14 @@ def test_fangle_finite_difference_dilatation():
     assert np.abs(mu_out).max() < 1e-6
 
 
+# an allowable c at the right angle, |c| = 0.5116, where the pair-ratio band
+# of the spiral stays within (0.1, 10)
+C_ALLOW_HALF_PI = 0.5060750906886151 + 0.07506914834585444j
+
+
 def test_fangle_lipschitz_band_when_allowable():
-    locus = allowable_locus(math.pi / 2, samples=128)
-    assert len(locus.points) > 0
-    c = locus.points[np.argmax(np.abs(locus.points))]
+    c = C_ALLOW_HALF_PI
+    assert is_allowable_sector(c, math.pi / 2, tol=1e-12)
     s = sector_invariants(c, math.pi / 2)
     rs = np.exp(np.linspace(math.log(1e-6), 0, 25))
     th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
@@ -209,8 +215,8 @@ def test_fangle_lipschitz_band_when_allowable():
 def test_fangle_pair_ratios_scale_invariant_when_allowable():
     # f(s z) = s^lam f(z) for s > 0, so with Re lam = 1 the band of pair
     # ratios |f(z)-f(w)| / |z-w| is the same at every scale
-    locus = allowable_locus(math.pi / 2, samples=128)
-    c = locus.points[np.argmax(np.abs(locus.points))]
+    c = C_ALLOW_HALF_PI
+    assert is_allowable_sector(c, math.pi / 2, tol=1e-12)
     s = sector_invariants(c, math.pi / 2)
 
     def band(scale):
@@ -259,6 +265,42 @@ def test_allowable_locus_points_verify():
     for c in locus.points:
         assert is_allowable_sector(c, math.pi / 2, tol=1e-9)
         assert abs(c) < 1.0
+
+
+def test_allowable_locus_reaches_the_unit_circle():
+    # the locus at a right angle runs out to |c| -> 1; a ray scan in |c|
+    # stopped at 0.65
+    points = allowable_locus(math.pi / 2, samples=256).points
+    assert np.abs(points).max() > 0.99
+
+
+def test_allowable_locus_contains_zero_and_rejects_no_samples():
+    # an odd sample count puts the middle sample at c = 0
+    assert abs(allowable_locus(math.pi / 3, samples=5).points[2]) < 1e-15
+    with pytest.raises(ValueError):
+        allowable_locus(math.pi / 3, samples=0)
+
+
+_OPENING_MARGIN = 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta0=st.floats(_OPENING_MARGIN, 2 * math.pi - _OPENING_MARGIN),
+       samples=st.integers(1, 4096))
+def test_allowable_locus_closed_form_properties(theta0, samples):
+    # 0, pi and 2*pi are the degenerate openings
+    assume(abs(theta0 - math.pi) > _OPENING_MARGIN)
+    points = allowable_locus(theta0, samples=samples).points
+    assert len(points) == samples
+    assert np.all(np.abs(points) < 1.0)
+    # As theta0 mod pi -> pi the arc's ends run to c = -1, where w(c) scales
+    # an error in c by 1 / |1 + c|: rounding c to a double moves Re lambda by
+    # about 1e-16 / (pi - theta0 mod pi), and sector_invariants' own rounding
+    # by up to about 2e-15 / (pi - theta0 mod pi).
+    tol = max(1e-12, 1e-14 / (math.pi - theta0 % math.pi))
+    worst = max(abs(sector_invariants(c, theta0).lam.real - 1.0)
+                for c in points)
+    assert worst <= tol
 
 
 def test_corner_allowability_unfolds_to_sector():

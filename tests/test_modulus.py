@@ -180,6 +180,29 @@ def test_certify_all_skipped_raises():
                             annuli_per_center=3, r_min=0.5, r_max=1.0)
 
 
+def test_certify_fails_on_nonfinite_images():
+    # NaN radii are not "separated", so these annuli used to be skipped and
+    # the certificate passed on the finite rest
+    def holed(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z) < 0.5, np.nan, z)
+
+    rep = certify_bilipschitz(holed, [0.0, 1.0], bound=1.0)
+    assert rep.nonfinite > 0
+    assert rep.skipped == 0
+    assert rep.annuli_tested + rep.nonfinite == 40
+    assert not rep.verdict
+    assert rep.to_dict()["nonfinite"] == rep.nonfinite
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_certify_all_nonfinite_fails_without_gaps():
+    rep = certify_bilipschitz(lambda z: np.full(np.shape(z), np.inf + 0j),
+                              [0.0, 1.0], bound=1.0, annuli_per_center=3)
+    assert rep.nonfinite == 6 and rep.annuli_tested == 0
+    assert not rep.verdict
+
+
 def test_certify_requires_radii_for_single_center():
     with pytest.raises(ValueError):
         certify_bilipschitz(identity_map, [0.0], bound=1.0)
