@@ -15,9 +15,8 @@ from .closed_maps import (AmbiguousInverseError, DiskMapSpec, LocusResult,
 from .extension import (CircleHomeo, ExtensionReport, extend_F, mu_F,
                         validate_extension)
 from .field import (Composite, DiskConstant, FieldError, HolderGrid,
-                    HolderReport, SectorConstant, evaluate, field_from_json,
-                    holder_check, read_grid_samples, sup_norm, support_radius,
-                    write_grid_samples)
+                    HolderReport, SectorConstant, field_from_json,
+                    holder_check, read_grid_samples, write_grid_samples)
 from .lehto import LehtoCheck, LehtoEstimate, lehto_check, lehto_integral
 from .modulus import (AnnulusGapRecord, AnnulusSpec, BoundingAnnuli,
                       CertificateReport, NotSeparatedError,
@@ -38,11 +37,11 @@ __all__ = [
     "allowable_for_corner", "allowable_locus", "bounding_annuli",
     "cauchy_transform", "certify_bilipschitz", "compose_dilatation",
     "decompose_modulus_gap", "default_eta", "eval_fangle", "eval_fc",
-    "eval_fc_inverse", "eval_gridmap", "evaluate", "extend_F", "fangle_map",
+    "eval_fc_inverse", "eval_gridmap", "extend_F", "fangle_map",
     "fc_map", "field_from_json", "finite_difference_mu",
     "grid_coordinates", "holder_check", "identity_map", "is_allowable_sector",
     "lehto_check", "lehto_integral", "modulus", "modulus_gap_bounds", "mu_F",
     "read_grid_samples", "sector_invariants", "singular_transform",
-    "solve_principal", "sup_norm", "support_radius", "validate_extension",
+    "solve_principal", "validate_extension",
     "write_grid_samples",
 ]

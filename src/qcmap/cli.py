@@ -101,13 +101,26 @@ def _atomic_write_bytes(path, payload):
         raise
 
 
+def _finite_or_null(obj):
+    """Copy of a report with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit(command, config, result, t0, out_path=None):
+    """Print the run report as strict JSON: non-finite numbers become null."""
     report = {"command": command,
               "config": config,
               "result": result,
               "wall_time_ms": int((time.perf_counter() - t0) * 1000),
               "version": __version__}
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2,
+                      allow_nan=False)
     print(text)
     if out_path:
         _atomic_write_bytes(out_path, (text + "\n").encode())

@@ -319,20 +319,6 @@ def _supports_overlap(a, b, grid=96):
                        & np.atleast_1d(b.support_contains(Z))))
 
 
-def evaluate(field, z):
-    """Evaluate mu(z); zero outside the support. Total and pure."""
-    return field.evaluate(z)
-
-
-def sup_norm(field):
-    return field.sup_norm
-
-
-def support_radius(field):
-    """Radius of a disk about the origin containing the support."""
-    return field.support_radius()
-
-
 @dataclass(frozen=True)
 class HolderReport:
     max_violation: float

@@ -4,8 +4,11 @@ The normalized solution is Phi = z + P where P is the Cauchy transform of
 h = dbar Phi, and h solves the fixed point h = mu * S h + mu with S the plane
 singular integral sending dbar-potentials to d-potentials. S is a Fourier
 multiplier of modulus one, so the Neumann iteration contracts in L2 at rate
-sup |mu|. Each sweep costs two n-by-n FFTs and a multiply by the cached
-multiplier; the rest of the sweep touches only the support of mu.
+sup |mu|. The field is sampled, and h iterated, only on the window of cells
+that meet the support square; each sweep applies the n-by-n periodic S to
+that window with two M-by-M FFTs, M about twice the window width, and a
+multiply by the cached folded kernel. The rest of the sweep touches only the
+support of mu.
 
 The final Cauchy step is done as a free-space convolution with the exactly
 integrated per-cell kernel on a zero-padded grid rather than with the
@@ -15,11 +18,13 @@ dominate the oracle error budget, while the cell kernel reproduces the decay
 P -> 0 at infinity and the 1/z far-field tail automatically. It costs two
 2n-by-2n FFTs once the kernel FFT is cached.
 
-Two bounded caches live for the life of the process. The S multiplier is
-kept per (grid shape, spacing), up to 4 entries of n^2 complex values (4 MB
-at n=512). The FFT of the Cauchy kernel is kept per (padded shape, cell
-aspect ratio) in unit cell width, so every spacing of one grid size shares
-it, up to 2 entries of 4 n^2 complex values (16 MB at n=512, 64 MB at
+Two bounded caches live for the life of the process. The S multiplier,
+folded onto the window's FFT grid, is kept per (grid shape, cell aspect
+ratio, FFT grid shape), up to 4 entries; conj(xi)/xi is scale-invariant, so
+every spacing of one grid shares it (M^2 complex values, 1.2 MB at n=512
+with pad_factor 4). The FFT of the Cauchy kernel is kept per (padded shape,
+cell aspect ratio) in unit cell width, so every spacing of one grid size
+shares it, up to 2 entries of 4 n^2 complex values (16 MB at n=512, 64 MB at
 n=1024). Building one costs a log per corner of the half-integer lattice
 and one FFT.
 """
@@ -34,8 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .field import support_radius
 
 SOLVER_MAGIC = b"QCMAP1\x00\x00"
 
@@ -82,21 +85,82 @@ def grid_coordinates(bbox, n):
     return xs, ys, X + 1j * Y
 
 
+def _next_5_smooth(n):
+    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _signed_offsets(m):
+    """Offset represented by each index of an m-point cyclic axis, FFT order."""
+    d = np.arange(m)
+    d[(m + 1) // 2:] -= m
+    return d
+
+
 @functools.lru_cache(maxsize=4)
-def _s_multiplier(ny, nx, dx, dy):
-    """conj(xi) / xi on the FFT frequency grid, zero at the origin; read-only."""
-    kx = 2.0 * math.pi * np.fft.fftfreq(nx, d=dx)
-    ky = 2.0 * math.pi * np.fft.fftfreq(ny, d=dy)
-    KX, KY = np.meshgrid(kx, ky)
-    zeta = KX + 1j * KY
+def _s_multiplier(ny, nx, aspect, my, mx):
+    """The ny-by-nx torus S as a multiplier on an my-by-mx cyclic grid; read-only.
+
+    conj(xi) / xi depends only on the cell aspect ratio dy/dx, not on the
+    spacing. With (my, mx) == (ny, nx) the result is that multiplier on the
+    FFT frequency grid, zero at the origin. Otherwise the torus kernel
+    ifft2(conj(xi) / xi) is read at the offsets an my-by-mx cyclic grid
+    represents, |d| <= (m - 1) / 2 per axis, and transformed: a cyclic
+    convolution on that grid then agrees with the torus operator for every
+    input and output in a window of at most (m + 1) / 2 cells per axis.
+    """
+    kx = np.fft.fftfreq(nx)
+    ky = np.fft.fftfreq(ny, d=aspect)
+    zeta = kx[None, :] + 1j * ky[:, None]
     mult = np.zeros_like(zeta)
     nzero = zeta != 0
     mult[nzero] = np.conj(zeta[nzero]) / zeta[nzero]
+    del zeta, nzero
+    if (my, mx) != (ny, nx):
+        kernel = np.fft.ifft2(mult)
+        del mult
+        folded = kernel[np.ix_(_signed_offsets(my) % ny, _signed_offsets(mx) % nx)]
+        del kernel
+        mult = np.fft.fft2(folded)
+        del folded
     mult.flags.writeable = False
     return mult
 
 
-def singular_transform(g, spacing=(1.0, 1.0)):
+def _warn_if_periodized(g, ny, nx):
+    """Warn when more than 1% of the energy of g lies in the outer eighth.
+
+    g is placed at the center of its ny-by-nx period. A window that stays
+    inside the inner band has no energy in the outer eighth, so nothing is
+    summed for it.
+    """
+    wy, wx = g.shape
+    by = max(1, ny // 8)
+    bx = max(1, nx // 8)
+    oy = (ny - wy) // 2
+    ox = (nx - wx) // 2
+    y0, y1 = max(0, by - oy), min(wy, ny - by - oy)
+    x0, x1 = max(0, bx - ox), min(wx, nx - bx - ox)
+    if (y0, y1, x0, x1) == (0, wy, 0, wx):
+        return
+    energy = np.square(g.real) + np.square(g.imag)
+    total = float(energy.sum())
+    if total > 0:
+        inner = float(energy[y0:y1, x0:x1].sum())
+        if total - inner > 0.01 * total:
+            warnings.warn("more than 1% of input energy near the grid boundary; "
+                          "the transform is contaminated by periodization",
+                          RuntimeWarning, stacklevel=3)
+
+
+def singular_transform(g, spacing=(1.0, 1.0), period=None):
     """Apply the plane singular integral with multiplier conj(xi) / xi.
 
     This is the two-dimensional Hilbert-type transform taking dbar h to d h:
@@ -105,25 +169,32 @@ def singular_transform(g, spacing=(1.0, 1.0)):
     L2 norms of mean-zero inputs are preserved. Accuracy degrades when the
     input support reaches the grid boundary; inputs with more than 1% of
     their energy in the outer eighth of the grid trigger a warning.
+
+    With ``period`` = (ny, nx), g is a window of an ny-by-nx grid that is
+    zero outside it, and the result is the ny-by-nx transform read back on
+    the window. Its output and input offsets lie within the window size, so
+    the torus kernel folded onto the smallest 5-smooth cyclic grid of at
+    least 2 b - 1 cells per axis (b the window size) applies it exactly; an
+    axis where that grid is not smaller than the period keeps the plain
+    multiplier. The periodization warning treats the window as centered in
+    its period.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2:
         raise ValueError("expected a 2D complex array")
-    ny, nx = g.shape
+    wy, wx = g.shape
+    ny, nx = g.shape if period is None else period
+    if wy > ny or wx > nx:
+        raise ValueError(f"window {g.shape} exceeds its period {(ny, nx)}")
     dx, dy = spacing
-    bx = max(1, nx // 8)
-    by = max(1, ny // 8)
-    energy = np.square(g.real) + np.square(g.imag)
-    total = float(energy.sum())
-    if total > 0:
-        inner = float(energy[by:ny - by, bx:nx - bx].sum())
-        if total - inner > 0.01 * total:
-            warnings.warn("more than 1% of input energy near the grid boundary; "
-                          "the transform is contaminated by periodization",
-                          RuntimeWarning, stacklevel=2)
-    spec = np.fft.fft2(g)
-    spec *= _s_multiplier(ny, nx, dx, dy)
-    return np.fft.ifft2(spec)
+    _warn_if_periodized(g, ny, nx)
+    my = min(ny, _next_5_smooth(2 * wy - 1))
+    mx = min(nx, _next_5_smooth(2 * wx - 1))
+    padded = np.zeros((my, mx), dtype=complex)
+    padded[:wy, :wx] = g
+    spec = np.fft.fft2(padded)
+    spec *= _s_multiplier(ny, nx, dy / dx, my, mx)
+    return np.fft.ifft2(spec)[:wy, :wx]
 
 
 @functools.lru_cache(maxsize=2)
@@ -305,17 +376,37 @@ def eval_gridmap(gm: GridMap, z):
     return out.reshape(np.asarray(z).shape)
 
 
-def _sample_mu(mu, bbox, n, supersample=3):
-    """Cell-averaged field samples; averaging keeps sup |mu| < 1."""
+def _sample_mu(mu, bbox, n, window=np.s_[:, :], supersample=3):
+    """Cell-averaged field samples; averaging keeps sup |mu| < 1.
+
+    ``window`` (a pair of slices) restricts the sampling to those cells of
+    the grid, at the same points as a full-grid call.
+    """
     xs, ys, Z = grid_coordinates(bbox, n)
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
+    Z = Z[window]
     offs = (np.arange(supersample) + 0.5) / supersample - 0.5
     acc = np.zeros(Z.shape, dtype=complex)
     for oy in offs:
         for ox in offs:
             acc += mu.evaluate(Z + ox * hx + 1j * oy * hy)
     return acc / supersample**2
+
+
+def _support_window(grid_n, pad_factor):
+    """Square window (row, column slices) of the cells that meet [-r, r]^2.
+
+    The box of solve_principal is [-L, L]^2 with L = pad_factor * r, so in
+    cell widths the square starts (L - r) / h = grid_n (pad_factor - 1) /
+    (2 pad_factor) cells in from each edge; the window depends only on the
+    grid. A cell outside it does not meet the square, and its supersampling
+    points lie at least a sixth of a cell width inside the cell, so a field
+    supported in |z| <= r samples to zero there.
+    """
+    first = math.ceil(grid_n * (pad_factor - 1) / (2 * pad_factor)) - 1
+    cells = slice(first, grid_n - first)
+    return cells, cells
 
 
 def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
@@ -328,15 +419,17 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     ConvergenceError if max_iter sweeps do not reach tol (the error carries
     the last residual) and SupportError for unbounded supports.
 
-    Every iterate vanishes off the support of the sampled field, so the
-    iteration keeps h only on the support cells; each sweep scatters it into
-    the grid for one singular transform and gathers the result back. The
-    result records the time of each phase, the observed contraction rate
+    Every iterate vanishes off the support of the sampled field, which lies
+    in the window of cells meeting the square [-r, r]^2 (r the support
+    radius), so the field is sampled only there and the iteration keeps h
+    only on the support cells; each sweep scatters it into the window, calls
+    the grid's singular transform on the window and gathers the result back.
+    The result records the time of each phase, the observed contraction rate
     (geometric mean of successive residual ratios; None after one sweep or
     a zero first residual) and sup |mu| over the grid, its theoretical bound.
     """
     cfg = cfg or SolverConfig()
-    rad = support_radius(mu)
+    rad = mu.support_radius()
     if not math.isfinite(rad) or rad <= 0:
         raise SupportError(
             f"field support radius {rad} is not usable; truncate the field")
@@ -344,25 +437,28 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     L = cfg.pad_factor * rad
     bbox = (-L, -L, L, L)
     n = (cfg.grid_n, cfg.grid_n)
-    xs, ys, Z = grid_coordinates(bbox, n)
+    _, _, Z = grid_coordinates(bbox, n)
+    # allocated before the sweeps' many small arrays: allocated after them,
+    # it raised the peak RSS of a session of n=256 solves by about 4 MB
+    grid = np.zeros(n, dtype=complex)
     h = 2 * L / cfg.grid_n
-    mu_grid = _sample_mu(mu, bbox, n)
-    sel = np.flatnonzero(mu_grid)
-    m = mu_grid.ravel()[sel]
-    del mu_grid
+    window = _support_window(cfg.grid_n, cfg.pad_factor)
+    mu_win = _sample_mu(mu, bbox, n, window)
+    sel = np.nonzero(mu_win)
+    m = mu_win[sel]
     t1 = time.perf_counter()
 
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about
-    grid = np.zeros(n, dtype=complex)
-    flat = grid.ravel()
+    win = np.zeros_like(mu_win)
+    del mu_win
     x = m
     residual = math.inf
     iterations = 0
     history = []
     for iterations in range(1, cfg.max_iter + 1):
-        flat[sel] = x
-        nxt = m * singular_transform(grid, spacing=(h, h)).ravel()[sel] + m
+        win[sel] = x
+        nxt = m * singular_transform(win, spacing=(h, h), period=n)[sel] + m
         residual = float(np.abs(nxt - x).max(initial=0.0))
         history.append(residual)
         x = nxt
@@ -373,7 +469,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
             f"no convergence after {cfg.max_iter} iterations, "
             f"residual {residual:.3e}",
             residual=residual, iterations=cfg.max_iter)
-    flat[sel] = x
+    grid[window][sel] = x
     t2 = time.perf_counter()
 
     P = cauchy_transform(grid, spacing=(h, h))

@@ -246,6 +246,37 @@ def test_certify_nonfinite_map_exits_one(monkeypatch, capsys):
     assert rep["result"]["nonfinite"] > 0
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token} in the report")
+
+
+def test_certify_report_is_strict_json(capsys):
+    # one center and no test-point pair: the Lipschitz estimates are
+    # undefined and must come out as null, not as a bare NaN token
+    rc = main(["certify", "--map", "builtin:fc:0.5,0", "--centers", "0,0",
+               "--bound", "3", "--r-min", "0.01", "--r-max", "1"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 0
+    assert rep["result"]["verdict"] == "pass"
+    assert rep["result"]["lipschitz_pairs"] == 0
+    assert rep["result"]["lipschitz_min"] is None
+    assert rep["result"]["lipschitz_max"] is None
+    assert math.isfinite(rep["result"]["sup_gap"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_certify_all_infinite_map_report_is_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parse_map",
+                        lambda source: (lambda z: np.full(np.shape(z), np.inf + 0j),
+                                        {"kind": "infinite"}))
+    rc = main(["certify", "--map", "infinite", "--centers", "0,0;1,0",
+               "--bound", "1.0", "--annuli", "3"])
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 1
+    assert rep["result"]["verdict"] == "fail"
+    assert rep["result"]["sup_gap"] is None
+
+
 def test_locus_rejects_no_samples(tmp_path, capsys):
     rc, _ = run_cli(capsys, "locus", "--theta0", "1.0", "--samples", "0",
                     "--out", str(tmp_path / "x.csv"))

@@ -7,32 +7,31 @@ import numpy as np
 import pytest
 
 from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
-                         SectorConstant, evaluate, field_from_json,
-                         holder_check, read_grid_samples, support_radius,
-                         write_grid_samples)
+                         SectorConstant, field_from_json, holder_check,
+                         read_grid_samples, write_grid_samples)
 
 
 def test_disk_constant_inside_outside():
     f = DiskConstant(c=0.5)
-    assert evaluate(f, 0.3) == 0.5
-    assert evaluate(f, 2.0) == 0.0
-    assert evaluate(f, 1.0) == 0.5  # boundary counts as inside
+    assert f.evaluate(0.3) == 0.5
+    assert f.evaluate(2.0) == 0.0
+    assert f.evaluate(1.0) == 0.5  # boundary counts as inside
 
 
 def test_sector_constant_inside():
     f = SectorConstant(c=0.5j, theta0=math.pi / 2)
-    assert evaluate(f, np.exp(1j * math.pi / 4)) == 0.5j
-    assert evaluate(f, np.exp(-1j * math.pi / 4)) == 0.0
-    assert evaluate(f, 0.0) == 0.0
+    assert f.evaluate(np.exp(1j * math.pi / 4)) == 0.5j
+    assert f.evaluate(np.exp(-1j * math.pi / 4)) == 0.0
+    assert f.evaluate(0.0) == 0.0
 
 
 def test_sector_rotation_and_truncation():
     # beta = pi starts the sector at the negative real axis, sweeping ccw
     f = SectorConstant(c=0.3, theta0=math.pi / 2, beta=math.pi, radius=2.0)
-    assert evaluate(f, -1.0 - 0.1j) == 0.3
-    assert evaluate(f, -1.0 + 0.1j) == 0.0
-    assert evaluate(f, -3.0 - 0.1j) == 0.0  # beyond the truncation radius
-    assert support_radius(f) == 2.0
+    assert f.evaluate(-1.0 - 0.1j) == 0.3
+    assert f.evaluate(-1.0 + 0.1j) == 0.0
+    assert f.evaluate(-3.0 - 0.1j) == 0.0  # beyond the truncation radius
+    assert f.support_radius() == 2.0
 
 
 def test_sup_norm_rejects_unit_dilatation():
@@ -143,9 +142,9 @@ def test_composite_dispatch_and_disjointness():
     left = DiskConstant(c=0.4, center=-2.0, radius=1.0)
     right = DiskConstant(c=-0.3j, center=2.0, radius=1.0)
     comp = Composite((left, right))
-    assert evaluate(comp, -2.0) == 0.4
-    assert evaluate(comp, 2.0) == -0.3j
-    assert evaluate(comp, 0.0) == 0.0
+    assert comp.evaluate(-2.0) == 0.4
+    assert comp.evaluate(2.0) == -0.3j
+    assert comp.evaluate(0.0) == 0.0
     assert comp.sup_norm == 0.4
     with pytest.raises(FieldError):
         Composite((DiskConstant(c=0.4), DiskConstant(c=0.2, center=0.5)))
@@ -154,7 +153,7 @@ def test_composite_dispatch_and_disjointness():
 def test_composite_support_radius():
     comp = Composite((DiskConstant(c=0.1, center=3.0, radius=0.5),
                       DiskConstant(c=0.2, center=-1.0, radius=0.25)))
-    assert support_radius(comp) == 3.5
+    assert comp.support_radius() == 3.5
 
 
 def test_grid_binary_round_trip(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from qcmap import solver
 from qcmap.closed_maps import DiskMapSpec, compose_dilatation, eval_fc, \
     eval_fc_inverse, fangle_map, fc_map, sector_invariants
-from qcmap.field import DiskConstant, SectorConstant
+from qcmap.field import Composite, DiskConstant, HolderGrid, SectorConstant
 from qcmap.solver import (ConvergenceError, GridMap, SolverConfig,
                           SupportError, cauchy_transform, eval_gridmap,
                           finite_difference_mu, grid_coordinates,
@@ -146,35 +146,70 @@ def test_transform_caches_match_fresh_calls():
              for a in (1.0, 2.0)]
     grids = {shape: _solver_like_density(shape[0])[0] for shape, _ in cases}
 
-    def both(shape, spacing):
+    def transforms(shape, spacing):
         g = grids[shape]
+        window = g[shape[0] // 4:shape[0] // 2 + 3, shape[1] // 4:]
         return (singular_transform(g, spacing=spacing),
+                singular_transform(window, spacing=spacing, period=shape),
                 cauchy_transform(g, spacing=spacing))
 
     fresh = []
     for shape, spacing in cases:
         solver._s_multiplier.cache_clear()
         solver._kernel_hat.cache_clear()
-        fresh.append(both(shape, spacing))
+        fresh.append(transforms(shape, spacing))
     for _ in range(2):
-        for (shape, spacing), (s_ref, c_ref) in zip(cases, fresh):
-            s_out, c_out = both(shape, spacing)
-            assert np.array_equal(s_out, s_ref)
-            assert np.array_equal(c_out, c_ref)
+        for (shape, spacing), refs in zip(cases, fresh):
+            for out, ref in zip(transforms(shape, spacing), refs):
+                assert np.array_equal(out, ref)
 
 
 def test_transform_caches_are_read_only():
-    mult = solver._s_multiplier(64, 64, 0.1, 0.1)
+    solver._s_multiplier.cache_clear()
+    solver._kernel_hat.cache_clear()
+    mult = solver._s_multiplier(64, 64, 1.0, 64, 64)
+    folded = solver._s_multiplier(64, 64, 1.0, 36, 36)
     khat = solver._kernel_hat(128, 128, 1.0)
-    for arr in (mult, khat):
+    for arr in (mult, folded, khat):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
 
-def test_solve_matches_full_grid_neumann_loop():
+@pytest.mark.parametrize("period, shape, spacing", [
+    ((64, 64), (1, 1), (1.0, 1.0)),
+    ((64, 64), (17, 23), (1.0, 1.0)),
+    ((64, 128), (9, 40), (0.1, 0.1)),
+    ((64, 64), (40, 40), (1.0, 1.0)),
+    ((64, 64), (40, 9), (1.0, 1.0)),
+    ((64, 96), (20, 31), (0.1, 0.25)),
+])
+def test_windowed_transform_equals_torus_transform(period, shape, spacing):
+    # a window wider than half its period keeps the plain multiplier on
+    # that axis; the folded kernel must reproduce the torus operator exactly
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    oy, ox = ((p - b) // 2 for p, b in zip(period, shape))
+    padded = np.zeros(period, dtype=complex)
+    padded[oy:oy + shape[0], ox:ox + shape[1]] = w
+    ref = singular_transform(padded, spacing=spacing)[oy:oy + shape[0],
+                                                      ox:ox + shape[1]]
+    out = singular_transform(w, spacing=spacing, period=period)
+    assert out.shape == shape
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_windowed_transform_rejects_window_beyond_period():
+    with pytest.raises(ValueError):
+        singular_transform(np.ones((8, 65)), period=(64, 64))
+
+
+@pytest.mark.parametrize("pad_factor", [4.0, 2.0])
+def test_solve_matches_full_grid_neumann_loop(pad_factor):
+    # at pad_factor 2 the support window is wider than half the grid, so the
+    # sweeps take the plain-multiplier path
     mu = DiskConstant(c=0.6 - 0.3j, center=0.3 + 0.1j, radius=0.8)
-    cfg = SolverConfig(grid_n=64, tol=1e-10)
+    cfg = SolverConfig(grid_n=64, tol=1e-10, pad_factor=pad_factor)
     with warnings.catch_warnings():
         # the support sits inside the box, so no sweep warns
         warnings.simplefilter("error", RuntimeWarning)
@@ -259,6 +294,44 @@ def test_solve_rejects_unbounded_support():
     with pytest.raises(SupportError):
         solve_principal(SectorConstant(c=0.3, theta0=1.0),
                         SolverConfig(grid_n=64))
+
+
+def _holder_grid(masked):
+    xs = np.linspace(-0.7, 0.9, 17)
+    ys = np.linspace(-0.2, 0.5, 8)
+    X, Y = np.meshgrid(xs, ys)
+    samples = 0.4 * np.exp(1j * (X + 2 * Y))
+    mask = np.hypot(X - 0.1, Y - 0.15) <= 0.5 if masked else None
+    return HolderGrid(samples=samples, bbox=(-0.7, -0.2, 0.9, 0.5),
+                      epsilon=1.0, holder_c=1.0, mask=mask)
+
+
+_WINDOW_FIELDS = [
+    DiskConstant(c=0.7 - 0.2j, center=0.6 - 0.4j, radius=0.5),
+    *(SectorConstant(c=0.8j, theta0=t, beta=b, radius=1.3)
+      for t in (0.3, math.pi / 2, 5.0) for b in (0.0, 1.0, -2.5)),
+    _holder_grid(masked=False),
+    _holder_grid(masked=True),
+    Composite((DiskConstant(c=0.5, center=-1.5 + 1.0j, radius=0.3),
+               _holder_grid(masked=True))),
+]
+
+
+@pytest.mark.parametrize("pad_factor", [2.0, 2.5, 4.0])
+@pytest.mark.parametrize("mu", _WINDOW_FIELDS)
+def test_sampled_field_vanishes_outside_support_window(mu, pad_factor):
+    # the solver samples only the support window: a field nonzero off it
+    # would be cut off silently
+    n = (64, 64)
+    L = pad_factor * mu.support_radius()
+    bbox = (-L, -L, L, L)
+    window = solver._support_window(n[0], pad_factor)
+    full = solver._sample_mu(mu, bbox, n)
+    outside = np.ones(n, dtype=bool)
+    outside[window] = False
+    assert np.any(full)
+    assert not np.any(full[outside])
+    assert np.array_equal(solver._sample_mu(mu, bbox, n, window), full[window])
 
 
 def test_solver_config_validation():
