@@ -22,10 +22,10 @@ from . import __version__
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
                           fc_map, identity_map, sector_invariants,
                           unrotate_corner)
-from .field import DiskConstant, FieldError, field_from_json
+from .field import DiskConstant, field_from_json
 from .modulus import NotSeparatedError, certify_bilipschitz
-from .solver import ConvergenceError, GridMap, SolverConfig, SupportError, \
-    grid_coordinates, solve_principal
+from .solver import ConvergenceError, GridMap, SolverConfig, grid_coordinates, \
+    solve_principal
 
 
 def _parse_complex(text):
@@ -130,17 +130,13 @@ def _emit(command, config, result, t0, out_path=None):
 def _cmd_allowable(args):
     t0 = time.perf_counter()
     c = args.c
-    try:
-        if args.alpha is not None:
-            beta = args.beta or 0.0
-            c_eff, theta0 = unrotate_corner(c, args.alpha, beta)
-            mode = "corner"
-        else:
-            c_eff, theta0, beta, mode = c, args.theta0, None, "sector"
-        spec = sector_invariants(c_eff, theta0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.alpha is not None:
+        beta = args.beta or 0.0
+        c_eff, theta0 = unrotate_corner(c, args.alpha, beta)
+        mode = "corner"
+    else:
+        c_eff, theta0, beta, mode = c, args.theta0, None, "sector"
+    spec = sector_invariants(c_eff, theta0)
     verdict = abs(spec.lam.real - 1.0) <= args.tol
     result = {"mode": mode,
               "theta0": theta0,
@@ -158,11 +154,7 @@ def _cmd_allowable(args):
 
 def _cmd_locus(args):
     t0 = time.perf_counter()
-    try:
-        locus = allowable_locus(args.theta0, samples=args.samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    locus = allowable_locus(args.theta0, samples=args.samples)
     lines = ["re,im"]
     for p in locus.points:
         lines.append(f"{p.real:.17g},{p.imag:.17g}")
@@ -178,22 +170,11 @@ def _cmd_locus(args):
 
 def _cmd_solve(args):
     t0 = time.perf_counter()
-    try:
-        mu = field_from_json(args.field)
-    except (FieldError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: bad field spec: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = SolverConfig(grid_n=args.grid_n, pad_factor=args.pad_factor,
-                           tol=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mu = field_from_json(args.field)
+    cfg = SolverConfig(grid_n=args.grid_n, pad_factor=args.pad_factor,
+                       tol=args.tol, max_iter=args.max_iter)
     try:
         gm = solve_principal(mu, cfg)
-    except SupportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         result = {"converged": False, "residual": exc.residual,
@@ -237,12 +218,8 @@ def _disk_oracle_error(mu, gm):
 
 def _cmd_certify(args):
     t0 = time.perf_counter()
-    try:
-        f, meta = _parse_map(args.map)
-        centers = _parse_centers(args.centers)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f, meta = _parse_map(args.map)
+    centers = _parse_centers(args.centers)
     config = {"map": meta, "centers": args.centers, "bound": args.bound,
               "annuli": args.annuli, "circle_samples": args.circle_samples,
               "r_min": args.r_min, "r_max": args.r_max, "seed": args.seed}
@@ -251,9 +228,6 @@ def _cmd_certify(args):
             f, centers, bound=args.bound, annuli_per_center=args.annuli,
             circle_samples=args.circle_samples, r_min=args.r_min,
             r_max=args.r_max, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotSeparatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit("certify", config, {"verdict": "fail", "reason": str(exc)},
@@ -299,16 +273,12 @@ _CURVE_COLORS = {"grid": (70, 130, 180), "circle": (200, 40, 40),
 
 def _cmd_render(args):
     t0 = time.perf_counter()
-    try:
-        f, meta = _parse_map(args.map)
-        window = tuple(float(v) for v in args.window.split(","))
-        if len(window) != 4 or window[0] >= window[2] or window[1] >= window[3]:
-            raise ValueError(f"bad window {args.window!r}")
-        if args.px < 16:
-            raise ValueError(f"need --px >= 16, got {args.px}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f, meta = _parse_map(args.map)
+    window = tuple(float(v) for v in args.window.split(","))
+    if len(window) != 4 or window[0] >= window[2] or window[1] >= window[3]:
+        raise ValueError(f"bad window {args.window!r}")
+    if args.px < 16:
+        raise ValueError(f"need --px >= 16, got {args.px}")
     xmin, ymin, xmax, ymax = window
     width = args.px
     height = max(1, int(round(width * (ymax - ymin) / (xmax - xmin))))
@@ -396,7 +366,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.cmd == "allowable" and args.alpha is None and args.theta0 is None:
         parser.error("allowable needs --theta0 (sector mode) or --alpha (corner mode)")
-    return args.func(args)
+    # malformed fields, files and values all raise ValueError (FieldError,
+    # SupportError and JSONDecodeError among them); unreadable or unwritable
+    # paths raise OSError
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import pointwise
+
 _TWO_PI = 2.0 * math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
@@ -64,6 +66,7 @@ def _coerce_spec(spec):
     return DiskMapSpec(complex(spec))
 
 
+@pointwise
 def eval_fc(spec, z):
     """Evaluate the disk map: z + c*conj(z) for |z| <= 1, z + c/z outside.
 
@@ -72,17 +75,13 @@ def eval_fc(spec, z):
     solution for the constant dilatation c on the unit disk.
     """
     spec = _coerce_spec(spec)
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    out = zz + spec.c * np.conj(zz)
-    outside = np.abs(zz) > 1.0
-    out[outside] = zz[outside] + spec.c / zz[outside]
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    out = z + spec.c * np.conj(z)
+    outside = np.abs(z) > 1.0
+    out[outside] = z[outside] + spec.c / z[outside]
+    return out
 
 
+@pointwise
 def eval_fc_inverse(spec, w, tol=1e-9):
     """Invert the disk map.
 
@@ -94,17 +93,13 @@ def eval_fc_inverse(spec, w, tol=1e-9):
     """
     spec = _coerce_spec(spec)
     c = spec.c
-    ww = np.asarray(w, dtype=complex)
-    scalar = ww.ndim == 0
-    ww = np.atleast_1d(ww).ravel()
-
-    z_in = (ww - c * np.conj(ww)) / (1.0 - abs(c) ** 2)
+    z_in = (w - c * np.conj(w)) / (1.0 - abs(c) ** 2)
     use_in = np.abs(z_in) <= 1.0
 
-    s = np.sqrt(ww * ww - 4.0 * c)
-    flip = np.real(np.conj(ww) * s) < 0
+    s = np.sqrt(w * w - 4.0 * c)
+    flip = np.real(np.conj(w) * s) < 0
     s[flip] = -s[flip]
-    z1 = 0.5 * (ww + s)
+    z1 = 0.5 * (w + s)
     with np.errstate(divide="ignore", invalid="ignore"):
         z2 = np.where(z1 != 0, c / np.where(z1 != 0, z1, 1.0), 0.0)
     z_out = np.where(np.abs(z1) >= np.abs(z2), z1, z2)
@@ -116,9 +111,7 @@ def eval_fc_inverse(spec, w, tol=1e-9):
     if np.any(bad) and np.any(np.abs(z_out[bad] - z_in[bad]) > 1e-6):
         raise AmbiguousInverseError(
             "branch selection ambiguous near the image of the unit circle")
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(w).shape)
+    return out
 
 
 def sector_invariants(c, theta0):
@@ -143,6 +136,7 @@ def sector_invariants(c, theta0):
                          a=complex(a), lam=complex(lam))
 
 
+@pointwise
 def eval_fangle(spec, z):
     """Evaluate the sector spiral map f(z) = exp(lambda * Log f1(z)).
 
@@ -155,12 +149,9 @@ def eval_fangle(spec, z):
     """
     if not isinstance(spec, SectorMapSpec):
         raise TypeError("eval_fangle needs a SectorMapSpec from sector_invariants")
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz).ravel()
-    out = np.zeros(zz.shape, dtype=complex)
-    nz = zz != 0
-    zv = zz[nz]
+    out = np.zeros(z.shape, dtype=complex)
+    nz = z != 0
+    zv = z[nz]
     th = np.angle(zv) % _TWO_PI
     first = th < spec.theta0
     w1 = np.where(first, (zv + spec.c * np.conj(zv)) / (1.0 + spec.c),
@@ -170,9 +161,7 @@ def eval_fangle(spec, z):
     arg1 = np.where(arg1 > _TWO_PI - 1e-12, 0.0, arg1)
     lift = np.where(first, arg1, th + (spec.theta1 - spec.theta0))
     out[nz] = np.exp(spec.lam * (np.log(np.abs(w1)) + 1j * lift))
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    return out
 
 
 def is_allowable_sector(c, theta0, tol=1e-9):

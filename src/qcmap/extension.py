@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import pointwise
+
 _TWO_PI = 2.0 * math.pi
 _SPECTRAL_N = 4096
 
@@ -98,23 +100,20 @@ def _spectral_derivative(gamma, n=_SPECTRAL_N):
     return gamma_prime
 
 
+@pointwise
 def extend_F(h: CircleHomeo, z):
     """Evaluate the blended extension on the closed unit disk."""
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz).ravel()
-    r = np.abs(zz)
+    r = np.abs(z)
     if np.any(r > 1.0 + 1e-12):
         raise ValueError("extend_F is defined on the closed unit disk only")
-    th = np.angle(zz) % _TWO_PI
+    th = np.angle(z) % _TWO_PI
     ang = r * np.asarray(h.gamma(th), dtype=float) + (1.0 - r) * th
     out = r * np.exp(1j * ang)
     out[r == 0] = 0.0
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    return out
 
 
+@pointwise
 def mu_F(h: CircleHomeo, z):
     """Dilatation of the extension at interior points (0 < |z| < 1).
 
@@ -125,13 +124,10 @@ def mu_F(h: CircleHomeo, z):
     at that point; they are flagged with a warning, not raised, since the
     formula itself stays evaluable.
     """
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz).ravel()
-    r = np.abs(zz)
+    r = np.abs(z)
     if np.any((r <= 0) | (r >= 1.0)):
         raise ValueError("mu_F needs 0 < |z| < 1")
-    th = np.angle(zz) % _TWO_PI
+    th = np.angle(z) % _TWO_PI
     g = np.asarray(h.gamma(th), dtype=float)
     gp = np.asarray(h.gamma_prime(th), dtype=float)
     num = r * (1.0 - gp) + 1j * r * (g - th)
@@ -140,10 +136,8 @@ def mu_F(h: CircleHomeo, z):
     if np.any(np.abs(out) >= 1.0):
         warnings.warn("extension dilatation reached |mu| >= 1; the boundary "
                       "map is not quasiconformally extendable by this recipe",
-                      RuntimeWarning, stacklevel=2)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+                      RuntimeWarning, stacklevel=3)
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,7 @@ def validate_extension(h: CircleHomeo, grid_n=256, seed=0) -> ExtensionReport:
     pts = (r_in[:, None] * np.exp(1j * th[None, :])).ravel()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mu = np.atleast_1d(mu_F(h, pts))
+        mu = mu_F(h, pts)
     sup_mu = float(np.abs(mu).max())
 
     rng = np.random.default_rng(seed)

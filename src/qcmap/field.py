@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._arrays import pointwise, read_grid, write_grid
 
 FIELD_MAGIC = b"QCFLD1\x00\x00"
 
@@ -33,15 +34,6 @@ def _check_finite_complex(value, name):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise FieldError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def _shaped(fn, z):
-    """Apply an array evaluator, preserving scalar in / scalar out."""
-    zz = np.asarray(z, dtype=complex)
-    out = fn(np.atleast_1d(zz))
-    if zz.ndim == 0:
-        return complex(out[0])
-    return out.reshape(zz.shape)
 
 
 @dataclass(frozen=True)
@@ -72,15 +64,13 @@ class DiskConstant:
     def support_radius(self):
         return abs(self.center) + self.radius
 
+    @pointwise
     def support_contains(self, z):
-        zz = np.asarray(z, dtype=complex)
-        return np.abs(zz - self.center) <= self.radius
+        return np.abs(z - self.center) <= self.radius
 
+    @pointwise
     def evaluate(self, z):
-        def _eval(zz):
-            return np.where(np.abs(zz - self.center) <= self.radius, self.c, 0.0)
-
-        return _shaped(_eval, z)
+        return np.where(np.abs(z - self.center) <= self.radius, self.c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,19 +110,17 @@ class SectorConstant:
     def support_radius(self):
         return self.radius
 
+    @pointwise
     def support_contains(self, z):
-        zz = np.asarray(z, dtype=complex)
-        ang = np.angle(zz * np.exp(-1j * self.beta)) % _TWO_PI
-        inside = (ang < self.theta0) & (zz != 0)
+        ang = np.angle(z * np.exp(-1j * self.beta)) % _TWO_PI
+        inside = (ang < self.theta0) & (z != 0)
         if math.isfinite(self.radius):
-            inside &= np.abs(zz) <= self.radius
+            inside &= np.abs(z) <= self.radius
         return inside
 
+    @pointwise
     def evaluate(self, z):
-        def _eval(zz):
-            return np.where(self.support_contains(zz), self.c, 0.0)
-
-        return _shaped(_eval, z)
+        return np.where(self.support_contains(z), self.c, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,19 +225,13 @@ class HolderGrid:
         out[~ok] = 0.0
         return out, ok
 
+    @pointwise
     def support_contains(self, z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        _, ok = self._interp(zz)
-        if np.asarray(z).ndim == 0:
-            return bool(ok[0])
-        return ok.reshape(np.asarray(z).shape)
+        return self._interp(z)[1]
 
+    @pointwise
     def evaluate(self, z):
-        def _eval(zz):
-            out, _ = self._interp(zz)
-            return out
-
-        return _shaped(_eval, z)
+        return self._interp(z)[0]
 
 
 @dataclass(frozen=True)
@@ -281,23 +263,19 @@ class Composite:
     def support_radius(self):
         return max(m.support_radius() for m in self.members)
 
+    @pointwise
     def support_contains(self, z):
-        zz = np.asarray(z, dtype=complex)
-        inside = np.zeros(np.atleast_1d(zz).shape, dtype=bool)
+        inside = np.zeros(z.shape, dtype=bool)
         for m in self.members:
-            inside |= np.atleast_1d(m.support_contains(zz))
-        if zz.ndim == 0:
-            return bool(inside[0])
-        return inside.reshape(zz.shape)
+            inside |= m.support_contains(z)
+        return inside
 
+    @pointwise
     def evaluate(self, z):
-        def _eval(zz):
-            out = np.zeros(zz.shape, dtype=complex)
-            for m in self.members:
-                out = out + m.evaluate(zz)
-            return out
-
-        return _shaped(_eval, z)
+        out = np.zeros(z.shape, dtype=complex)
+        for m in self.members:
+            out = out + m.evaluate(z)
+        return out
 
 
 def _supports_overlap(a, b, grid=96):
@@ -315,8 +293,7 @@ def _supports_overlap(a, b, grid=96):
     ys = np.linspace(y0, y1, grid)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
-    return bool(np.any(np.atleast_1d(a.support_contains(Z))
-                       & np.atleast_1d(b.support_contains(Z))))
+    return bool(np.any(a.support_contains(Z) & b.support_contains(Z)))
 
 
 @dataclass(frozen=True)
@@ -374,48 +351,34 @@ def _holder_members(field):
 # serialization
 
 def write_grid_samples(path, samples):
-    """Write complex grid samples in the QCFLD1 binary layout.
+    """Write complex grid samples (ny, nx) as a QCFLD1 file.
 
-    Little endian: 8-byte magic, two uint32 dims (nx, ny), then row-major
-    float64 (re, im) pairs with rows ordered by increasing imaginary part.
+    The layout is the shared grid layout of ``qcmap._arrays`` with no extra
+    header: 8-byte magic, two uint32 dims (nx, ny), then row-major float64
+    (re, im) pairs with rows ordered by increasing imaginary part.
     """
-    samples = np.asarray(samples, dtype=complex)
-    ny, nx = samples.shape
-    inter = np.empty((ny, nx, 2), dtype="<f8")
-    inter[..., 0] = samples.real
-    inter[..., 1] = samples.imag
-    with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<II", nx, ny))
-        fh.write(inter.tobytes())
+    write_grid(path, FIELD_MAGIC, samples)
 
 
 def read_grid_samples(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != FIELD_MAGIC:
-            raise FieldError(f"bad magic {magic!r} in {path}")
-        nx, ny = struct.unpack("<II", fh.read(8))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * nx * ny:
-        raise FieldError(f"truncated grid file {path}")
-    raw = raw.reshape(ny, nx, 2)
-    samples = raw[..., 0] + 1j * raw[..., 1]
-    if not np.all(np.isfinite(raw)):
+    """Samples of a QCFLD1 file; FieldError for a malformed or non-finite one."""
+    samples, _ = read_grid(path, FIELD_MAGIC, error=FieldError)
+    if not np.all(np.isfinite(samples)):
         raise FieldError(f"non-finite samples in {path}")
     return samples
 
 
-def _pair(obj, name):
-    try:
-        re, im = obj
-    except (TypeError, ValueError):
-        raise FieldError(f"{name} must be a [re, im] pair, got {obj!r}")
+def _pair(obj):
+    re, im = obj
     return complex(float(re), float(im))
 
 
 def field_from_json(spec, base_dir=None):
-    """Build a field from its JSON description (dict, JSON text, or path)."""
+    """Build a field from its JSON description (dict, JSON text, or path).
+
+    A missing key, a value of the wrong type or form, or a malformed
+    ``data_file`` raises FieldError.
+    """
     if isinstance(spec, (str, Path)):
         p = Path(spec)
         if p.suffix == ".json" or p.exists():
@@ -425,13 +388,24 @@ def field_from_json(spec, base_dir=None):
             spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise FieldError("field spec must be a JSON object")
+    try:
+        return _field_from_dict(spec, base_dir)
+    except FieldError:
+        raise
+    except KeyError as exc:
+        raise FieldError(f"field spec is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FieldError(f"bad {spec.get('kind')!r} field spec: {exc}") from None
+
+
+def _field_from_dict(spec, base_dir):
     kind = spec.get("kind")
     if kind == "disk_constant":
-        return DiskConstant(c=_pair(spec["c"], "c"),
-                            center=_pair(spec.get("center", [0, 0]), "center"),
+        return DiskConstant(c=_pair(spec["c"]),
+                            center=_pair(spec.get("center", [0, 0])),
                             radius=float(spec.get("radius", 1.0)))
     if kind == "sector_constant":
-        return SectorConstant(c=_pair(spec["c"], "c"),
+        return SectorConstant(c=_pair(spec["c"]),
                               theta0=float(spec["theta0"]),
                               beta=float(spec.get("beta", 0.0)),
                               radius=float(spec.get("radius", math.inf)))

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_maps import DiskMapSpec, eval_fc, eval_fc_inverse
+from .closed_maps import DiskMapSpec, eval_fc_inverse, fc_map
 
 
 class NotSeparatedError(RuntimeError):
@@ -70,13 +70,12 @@ class BoundingAnnuli:
         radii = (self.rho1, self.R1, self.rho2, self.R2)
         return cmath.isfinite(self.image_center) and all(map(math.isfinite, radii))
 
-    @property
-    def B(self):
-        return AnnulusSpec(self.image_center, self.rho1, self.rho2)
-
-    @property
-    def C(self):
-        return AnnulusSpec(self.image_center, self.R1, self.R2)
+    def sandwich(self):
+        """(M(E), M(D)) = (log(rho2 / R1), log(R2 / rho1)), which bracket the
+        image modulus; raises NotSeparatedError when E is empty."""
+        if not self.separated:
+            raise NotSeparatedError("bounding annuli not separated")
+        return math.log(self.rho2 / self.R1), math.log(self.R2 / self.rho1)
 
     @property
     def D(self):
@@ -143,10 +142,7 @@ def modulus_gap_bounds(ba: BoundingAnnuli, qs: QuasisymmetryBound,
     ValueError if the width exceeds the quasisymmetry budget C_K, which would
     mean the map is not K-quasiconformal for the claimed K.
     """
-    if not ba.separated:
-        raise NotSeparatedError("bounding annuli not separated")
-    lower = math.log(ba.rho2 / ba.R1)
-    upper = math.log(ba.R2 / ba.rho1)
+    lower, upper = ba.sandwich()
     width = upper - lower
     if width > qs.C_K + 1e-12:
         raise ValueError(
@@ -257,8 +253,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
                 skipped += 1
                 continue
             m = modulus(a)
-            lower = math.log(ba.rho2 / ba.R1)
-            upper = math.log(ba.R2 / ba.rho1)
+            lower, upper = ba.sandwich()
             gap = max(abs(upper - m), abs(lower - m))
             records.append(AnnulusGapRecord(center=complex(x0), r1=r1, r2=r_max,
                                             modulus=m, lower=lower, upper=upper,
@@ -297,26 +292,14 @@ def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec,
     t3 = |M(E) - M(A)|, where each image modulus estimate is the midpoint of
     its sandwich. Their sum dominates the certified gap up to sandwich slack.
     """
-    if not isinstance(fc_spec, DiskMapSpec):
-        fc_spec = DiskMapSpec(complex(fc_spec))
-    ba_fc = bounding_annuli(lambda z: eval_fc(fc_spec, z), a, circle_samples)
+    ba_fc = bounding_annuli(fc_map(fc_spec), a, circle_samples)
     e_ann = ba_fc.E  # raises NotSeparatedError when not separated
 
     def g(w):
         return np.asarray(f(eval_fc_inverse(fc_spec, w)))
 
-    ba_f = bounding_annuli(f, a, circle_samples)
-    if not ba_f.separated:
-        raise NotSeparatedError("f image annuli not separated")
-    ba_g = bounding_annuli(g, e_ann, circle_samples)
-    if not ba_g.separated:
-        raise NotSeparatedError("composed image annuli not separated")
-
-    def mid(ba):
-        return 0.5 * (math.log(ba.rho2 / ba.R1) + math.log(ba.R2 / ba.rho1))
-
-    est_f = mid(ba_f)
-    est_g = mid(ba_g)
+    est_f = 0.5 * sum(bounding_annuli(f, a, circle_samples).sandwich())
+    est_g = 0.5 * sum(bounding_annuli(g, e_ann, circle_samples).sandwich())
     me = modulus(e_ann)
     t1 = abs(est_f - est_g)
     t2 = abs(est_g - me)

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._arrays import pointwise, read_grid, write_grid
+
 SOLVER_MAGIC = b"QCMAP1\x00\x00"
 
 
@@ -248,6 +250,7 @@ def cauchy_transform(g, spacing):
     gp = np.zeros((2 * ny, 2 * nx), dtype=complex)
     gp[:ny, :nx] = g
     spec = np.fft.fft2(gp)
+    del gp
     spec *= _kernel_hat(2 * ny, 2 * nx, dy / dx)
     spec *= dx
     return np.fft.ifft2(spec)[:ny, :nx]
@@ -300,56 +303,29 @@ class GridMap:
         return eval_gridmap(self, z)
 
     def save(self, path):
-        ny, nx = self.values.shape
-        inter = np.empty((ny, nx, 2), dtype="<f8")
-        inter[..., 0] = self.values.real
-        inter[..., 1] = self.values.imag
-        with open(path, "wb") as fh:
-            fh.write(SOLVER_MAGIC)
-            fh.write(struct.pack("<II", nx, ny))
-            fh.write(struct.pack("<4d", *self.bbox))
-            fh.write(struct.pack("<2d", self.tail.real, self.tail.imag))
-            fh.write(inter.tobytes())
+        """Write a QCMAP1 file: extra header bbox and tail, six float64."""
+        write_grid(path, SOLVER_MAGIC, self.values,
+                   struct.pack("<6d", *self.bbox, self.tail.real, self.tail.imag))
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != SOLVER_MAGIC:
-                raise ValueError(f"bad magic {magic!r} in {path}")
-            header = fh.read(56)
-            if len(header) != 56:
-                raise ValueError(f"truncated header in map file {path}")
-            nx, ny = struct.unpack_from("<II", header)
-            bbox = struct.unpack_from("<4d", header, 8)
-            tre, tim = struct.unpack_from("<2d", header, 40)
-            payload = fh.read()
-        if nx == 0 or ny == 0:
-            raise ValueError(f"zero grid dimensions {nx}x{ny} in map file {path}")
-        size = 16 * nx * ny
-        if len(payload) < size:
-            raise ValueError(f"truncated map file {path}")
-        if len(payload) > size:
-            raise ValueError(f"{len(payload) - size} trailing bytes in map file {path}")
-        raw = np.frombuffer(payload, dtype="<f8").reshape(ny, nx, 2)
-        return cls(bbox=bbox, values=raw[..., 0] + 1j * raw[..., 1],
-                   tail=complex(tre, tim))
+        values, header = read_grid(path, SOLVER_MAGIC, header_size=48)
+        *bbox, tre, tim = struct.unpack("<6d", header)
+        return cls(bbox=bbox, values=values, tail=complex(tre, tim))
 
 
+@pointwise
 def eval_gridmap(gm: GridMap, z):
     """Bilinear interpolation inside the box, z + tail/(z - center) outside."""
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz).ravel()
     xmin, ymin, xmax, ymax = gm.bbox
     ny, nx = gm.values.shape
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
-    out = np.empty(zz.shape, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
 
-    inside = ((zz.real >= xmin) & (zz.real <= xmax)
-              & (zz.imag >= ymin) & (zz.imag <= ymax))
-    zi = zz[inside]
+    inside = ((z.real >= xmin) & (z.real <= xmax)
+              & (z.imag >= ymin) & (z.imag <= ymax))
+    zi = z[inside]
     if zi.size:
         # cell indices are clipped but the weights are not: in the half-cell
         # band between the outermost sample row and the box edge this
@@ -365,15 +341,13 @@ def eval_gridmap(gm: GridMap, z):
                        + tx * (1 - ty) * v[iy, ix + 1]
                        + (1 - tx) * ty * v[iy + 1, ix]
                        + tx * ty * v[iy + 1, ix + 1])
-    zo = zz[~inside]
+    zo = z[~inside]
     if zo.size:
         zc = complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
         d = zo - zc
         d = np.where(d == 0, 1.0, d)
         out[~inside] = zo + gm.tail / d
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    return out
 
 
 def _sample_mu(mu, bbox, n, window=np.s_[:, :], supersample=3):

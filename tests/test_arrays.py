@@ -1,0 +1,148 @@
+"""The shared contracts of qcmap._arrays: pointwise shapes and the grid codec."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qcmap import closed_maps, extension, field, solver
+from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
+                         SectorConstant, read_grid_samples, write_grid_samples)
+from qcmap.solver import GridMap
+
+
+def _fields():
+    rng = np.random.default_rng(3)
+    grid = HolderGrid(samples=0.3 * rng.random((5, 6)) * np.exp(1j * rng.random((5, 6))),
+                      bbox=(-0.8, -0.7, 0.6, 0.9), epsilon=1.0, holder_c=1.0)
+    return [DiskConstant(c=0.5, radius=0.5),
+            SectorConstant(c=0.3j, theta0=2.0, radius=0.6),
+            grid,
+            Composite((DiskConstant(c=0.5, center=-0.5, radius=0.4),
+                       DiskConstant(c=0.2j, center=0.5, radius=0.4)))]
+
+
+def _callables():
+    """(id, callable z -> value, is a predicate) for every pointwise evaluator."""
+    gm = GridMap(bbox=(-1, -1, 1, 1),
+                 values=np.arange(16).reshape(4, 4) * (1 + 0.5j), tail=0.3)
+    homeo = extension.CircleHomeo.from_fourier(a=(0.1,), b=(0.05,))
+    out = [
+        ("eval_fc", lambda z: closed_maps.eval_fc(0.4 + 0.2j, z), False),
+        ("eval_fc_inverse",
+         lambda z: closed_maps.eval_fc_inverse(0.4 + 0.2j, z), False),
+        ("eval_fangle", lambda z: closed_maps.eval_fangle(
+            closed_maps.sector_invariants(0.5, math.pi / 2), z), False),
+        ("eval_gridmap", lambda z: solver.eval_gridmap(gm, z), False),
+        ("extend_F", lambda z: extension.extend_F(homeo, z), False),
+        ("mu_F", lambda z: extension.mu_F(homeo, z), False),
+    ]
+    for f in _fields():
+        name = type(f).__name__
+        out.append((f"{name}.evaluate", f.evaluate, False))
+        out.append((f"{name}.support_contains", f.support_contains, True))
+    return out
+
+
+_CALLABLES = _callables()
+
+
+@pytest.mark.parametrize("fn,predicate", [c[1:] for c in _CALLABLES],
+                         ids=[c[0] for c in _CALLABLES])
+def test_pointwise_shape_contract(fn, predicate):
+    rng = np.random.default_rng(0)
+    Z = (0.1 + 0.8 * rng.random((3, 4))) * np.exp(2j * math.pi * rng.random((3, 4)))
+    out = fn(Z)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+    flat = fn(Z.ravel())
+    assert flat.shape == (12,)
+    np.testing.assert_array_equal(out, flat.reshape(3, 4))
+    for z, want in zip(Z.ravel(), flat):
+        got = fn(np.asarray(z))
+        assert type(got) is (bool if predicate else complex)
+        assert got == want
+    assert type(fn(complex(Z[0, 0]))) is (bool if predicate else complex)
+
+
+def test_pointwise_keeps_the_callers_warning_location():
+    bad = extension.CircleHomeo.from_fourier(a=[0.0, 1.2])
+    with pytest.warns(RuntimeWarning) as rec:
+        extension.mu_F(bad, 0.95 * np.exp(1j * math.pi / 2))
+    assert rec[0].filename == __file__
+
+
+# -- the QCMAP1 and QCFLD1 codec ------------------------------------------------
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_FUZZ = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _grids(draw, min_side):
+    ny = draw(st.integers(min_side, 4))
+    nx = draw(st.integers(min_side, 4))
+    parts = draw(st.lists(_finite, min_size=2 * nx * ny, max_size=2 * nx * ny))
+    vals = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    return vals.reshape(ny, nx)
+
+
+def _save_map(path, values, tail):
+    GridMap(bbox=(-1.5, -2.0, 1.0, 0.5), values=values, tail=tail).save(path)
+
+
+def _formats():
+    """(name, writer, reader, error) of the two formats."""
+    return [("QCMAP1", lambda p, v: _save_map(p, v, 0.25 - 1j), GridMap.load,
+             ValueError),
+            ("QCFLD1", write_grid_samples, read_grid_samples, FieldError)]
+
+
+@pytest.mark.parametrize("name,write,read,error", _formats(),
+                         ids=[f[0] for f in _formats()])
+@_FUZZ
+@given(values=_grids(2), extra=st.binary(min_size=1, max_size=24))
+def test_codec_round_trip_and_damage(tmp_path, name, write, read, error,
+                                     values, extra):
+    p = tmp_path / "grid.bin"
+    write(p, values)
+    good = p.read_bytes()
+    got = read(p)
+    if isinstance(got, GridMap):
+        assert got.bbox == (-1.5, -2.0, 1.0, 0.5) and got.tail == 0.25 - 1j
+        got = got.values
+    np.testing.assert_array_equal(got, values)
+    for cut in range(len(good)):
+        p.write_bytes(good[:cut])
+        with pytest.raises(error):
+            read(p)
+    p.write_bytes(good + extra)
+    with pytest.raises(error, match="trailing"):
+        read(p)
+
+
+@pytest.mark.parametrize("name,write,read,error", _formats(),
+                         ids=[f[0] for f in _formats()])
+@_FUZZ
+@given(dims=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       rest=st.binary(max_size=160))
+def test_codec_rejects_corrupt_headers(tmp_path, name, write, read, error,
+                                       dims, rest):
+    """Arbitrary dims and bytes after the magic load or raise ``error``."""
+    p = tmp_path / "grid.bin"
+    magic = solver.SOLVER_MAGIC if name == "QCMAP1" else field.FIELD_MAGIC
+    p.write_bytes(magic + struct.pack("<II", *dims) + rest)
+    try:
+        read(p)
+    except error:
+        pass
+
+
+def test_field_file_rejects_zero_dims(tmp_path):
+    p = tmp_path / "mu.bin"
+    p.write_bytes(field.FIELD_MAGIC + struct.pack("<II", 0, 3))
+    with pytest.raises(FieldError, match="zero"):
+        read_grid_samples(p)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from qcmap import cli
 from qcmap.cli import main
 from qcmap.closed_maps import is_allowable_sector
-from qcmap.field import write_grid_samples
+from qcmap.field import FIELD_MAGIC, write_grid_samples
 from qcmap.solver import GridMap
 
 
@@ -161,6 +162,38 @@ def test_solve_bad_field_exit_code(tmp_path, capsys):
     rc, _ = run_cli(capsys, "solve", "--field", str(fld),
                     "--out", str(tmp_path / "m.qcmap"))
     assert rc == 2
+
+
+_GRID_SPEC = {"kind": "holder_grid", "bbox": [-1, -1, 1, 1], "n": [2, 2],
+              "epsilon": 1.0, "holder_c": 0.3, "data_file": "mu.bin"}
+
+
+@pytest.mark.parametrize("spec,mu_bin", [
+    ({"kind": "disk_constant"}, None),
+    ({"kind": "disk_constant", "c": ["x", 0]}, None),
+    ({"kind": "disk_constant", "c": [0.5, 0], "radius": "big"}, None),
+    ({"kind": "composite", "members": 3}, None),
+    (_GRID_SPEC, FIELD_MAGIC + b"\x02\x00"),
+    (_GRID_SPEC, FIELD_MAGIC + struct.pack("<II", 2, 2) + bytes(16 * 4 + 3)),
+], ids=["missing-c", "non-numeric-c", "non-numeric-radius",
+        "members-not-a-list", "10-byte-mu-bin", "ragged-mu-bin"])
+def test_solve_rejects_malformed_field_with_exit_two(tmp_path, capsys, spec,
+                                                     mu_bin):
+    if mu_bin is not None:
+        (tmp_path / "mu.bin").write_bytes(mu_bin)
+    fld = _write_field(tmp_path, spec)
+    rc = main(["solve", "--field", str(fld), "--grid-n", "64",
+               "--out", str(tmp_path / "m.qcmap")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_path_exits_two(tmp_path, capsys):
+    rc = main(["locus", "--theta0", "1.0", "--samples", "4",
+               "--out", str(tmp_path / "missing-dir" / "locus.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_holder_grid_field(tmp_path, capsys):
