@@ -9,6 +9,7 @@ certification fail, 2 bad input, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -89,16 +90,20 @@ def _parse_centers(spec):
 
 
 def _atomic_write_bytes(path, payload):
+    """Write through a temp file and a rename; an OSError names ``path``."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qcmap-tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".qcmap-tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _finite_or_null(obj):
@@ -113,7 +118,8 @@ def _finite_or_null(obj):
 
 
 def _emit(command, config, result, t0, out_path=None):
-    """Print the run report as strict JSON: non-finite numbers become null."""
+    """Write the run report to ``out_path``, then print it, as strict JSON:
+    non-finite numbers become null. A failed write prints nothing."""
     report = {"command": command,
               "config": config,
               "result": result,
@@ -121,9 +127,9 @@ def _emit(command, config, result, t0, out_path=None):
               "version": __version__}
     text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2,
                       allow_nan=False)
-    print(text)
     if out_path:
         _atomic_write_bytes(out_path, (text + "\n").encode())
+    print(text)
     return report
 
 
@@ -182,15 +188,7 @@ def _cmd_solve(args):
         _emit("solve", _solver_config_dict(cfg, args.field), result, t0, args.json)
         return 3
     gm.save(args.out)
-    result = {"converged": True,
-              "iterations": gm.iterations,
-              "residual": gm.final_residual,
-              "tail": [gm.tail.real, gm.tail.imag],
-              "bbox": list(gm.bbox),
-              "out": args.out,
-              "timings_ms": gm.timings_ms,
-              "observed_rate": gm.observed_rate,
-              "sup_mu": gm.sup_mu}
+    result = {"converged": True, "out": args.out, **gm.to_dict()}
     oracle = _disk_oracle_error(mu, gm)
     if oracle is not None:
         result["oracle_sup_error"] = oracle
@@ -199,9 +197,7 @@ def _cmd_solve(args):
 
 
 def _solver_config_dict(cfg, field_path):
-    return {"field": str(field_path), "grid_n": cfg.grid_n,
-            "pad_factor": cfg.pad_factor, "tol": cfg.tol,
-            "max_iter": cfg.max_iter}
+    return {"field": str(field_path), **dataclasses.asdict(cfg)}
 
 
 def _disk_oracle_error(mu, gm):
@@ -219,6 +215,8 @@ def _disk_oracle_error(mu, gm):
 def _cmd_certify(args):
     t0 = time.perf_counter()
     f, meta = _parse_map(args.map)
+    # the floor is read here: a wrapper around f would hide it from the library
+    resolution = f.resolution if meta["kind"] == "gridmap" else 0.0
     centers = _parse_centers(args.centers)
     config = {"map": meta, "centers": args.centers, "bound": args.bound,
               "annuli": args.annuli, "circle_samples": args.circle_samples,
@@ -227,7 +225,7 @@ def _cmd_certify(args):
         report = certify_bilipschitz(
             f, centers, bound=args.bound, annuli_per_center=args.annuli,
             circle_samples=args.circle_samples, r_min=args.r_min,
-            r_max=args.r_max, seed=args.seed)
+            r_max=args.r_max, seed=args.seed, resolution=resolution)
     except NotSeparatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit("certify", config, {"verdict": "fail", "reason": str(exc)},

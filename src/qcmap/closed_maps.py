@@ -36,10 +36,6 @@ class DiskMapSpec:
             raise ValueError(f"need finite |c| < 1, got {self.c!r}")
         object.__setattr__(self, "c", c)
 
-    @property
-    def bilipschitz_constant(self):
-        return (1 + abs(self.c)) / (1 - abs(self.c))
-
 
 @dataclass(frozen=True)
 class SectorMapSpec:

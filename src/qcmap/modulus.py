@@ -181,12 +181,14 @@ class CertificateReport:
     verdict: bool
     mu_sup: float = None
     nonfinite: int = 0
+    unresolved: int = 0
 
     def to_dict(self):
         return {"bound": self.bound,
                 "annuli_tested": self.annuli_tested,
                 "skipped": self.skipped,
                 "nonfinite": self.nonfinite,
+                "unresolved": self.unresolved,
                 "sup_gap": self.sup_gap,
                 "lipschitz_min": self.lipschitz_min,
                 "lipschitz_max": self.lipschitz_max,
@@ -206,7 +208,8 @@ def _diameter(pts):
 
 def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
                         circle_samples=1024, r_min=None, r_max=None,
-                        max_pairs=4000, seed=0) -> CertificateReport:
+                        max_pairs=4000, seed=0,
+                        resolution=0.0) -> CertificateReport:
     """Certify bounded modulus distortion of f over annuli centered in test_set.
 
     For each center, builds ``annuli_per_center`` annuli with fixed outer
@@ -221,6 +224,11 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     non-finite image center or radius are counted in ``nonfinite`` and fail
     the verdict.
 
+    ``resolution`` is the smallest radius at which f is known (a sampled
+    map's ``GridMap.resolution``; 0 for closed forms). The default r_min is
+    raised to it; annuli with a smaller inner radius are not tested, are
+    counted in ``unresolved`` and fail the verdict.
+
     Lipschitz ratios |f(x) - f(y)| / |x - y| over pairs of test points are
     reported as corroborating diagnostics; they are not the criterion.
     """
@@ -232,18 +240,24 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         if diam <= 0:
             raise ValueError("test set has zero diameter; pass r_min and r_max")
         r_max = 4.0 * diam if r_max is None else float(r_max)
-        r_min = 1e-4 * diam if r_min is None else float(r_min)
+        r_min = max(1e-4 * diam, resolution) if r_min is None else float(r_min)
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     if annuli_per_center < 1:
         raise ValueError("annuli_per_center must be >= 1")
 
     delta = math.log(r_max / r_min) / annuli_per_center
+    # an r_min at or above the floor resolves every annulus, also the last,
+    # whose inner radius is r_min only up to round-off
+    floor = resolution if r_min < resolution else 0.0
     records = []
-    skipped = nonfinite = 0
+    skipped = nonfinite = unresolved = 0
     for x0 in pts:
         for j in range(1, annuli_per_center + 1):
             r1 = r_max * math.exp(-j * delta)
+            if r1 < floor:
+                unresolved += 1
+                continue
             a = AnnulusSpec(complex(x0), r1, r_max)
             ba = bounding_annuli(f, a, circle_samples)
             if not ba.finite:
@@ -258,7 +272,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
             records.append(AnnulusGapRecord(center=complex(x0), r1=r1, r2=r_max,
                                             modulus=m, lower=lower, upper=upper,
                                             gap=gap))
-    if not records and not nonfinite:
+    if not records and not (nonfinite or unresolved):
         raise NotSeparatedError("all annuli were skipped as not separated")
 
     rng = np.random.default_rng(seed)
@@ -278,8 +292,9 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         bound=float(bound), annuli_tested=len(records), skipped=skipped,
         gaps=records, sup_gap=sup_gap,
         lipschitz_min=lip_min, lipschitz_max=lip_max, lipschitz_pairs=int(ii.size),
-        verdict=not nonfinite and sup_gap <= float(bound),
-        mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite)
+        verdict=not (nonfinite or unresolved) and sup_gap <= float(bound),
+        mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite,
+        unresolved=unresolved)
 
 
 def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec,

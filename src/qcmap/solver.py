@@ -7,26 +7,26 @@ multiplier of modulus one, so the Neumann iteration contracts in L2 at rate
 sup |mu|. The field is sampled, and h iterated, only on the window of cells
 that meet the support square; each sweep applies the n-by-n periodic S to
 that window with two M-by-M FFTs, M about twice the window width, and a
-multiply by the cached folded kernel. The rest of the sweep touches only the
-support of mu.
+multiply by the cached folded kernel.
 
 The final Cauchy step is done as a free-space convolution with the exactly
 integrated per-cell kernel on a zero-padded grid rather than with the
 periodic spectral inverse: periodization of the 1/z kernel leaves an
 antilinear artifact of size ~ |total h| * |z| / box area, which would
 dominate the oracle error budget, while the cell kernel reproduces the decay
-P -> 0 at infinity and the 1/z far-field tail automatically. It costs two
-2n-by-2n FFTs once the kernel FFT is cached.
+P -> 0 at infinity and the 1/z far-field tail automatically. It maps h on
+the window to P on the grid with two M-by-M FFTs once the kernel FFT is
+cached (M = 324 at n=256, 648 at n=512 with pad_factor 4).
 
 Two bounded caches live for the life of the process. The S multiplier,
 folded onto the window's FFT grid, is kept per (grid shape, cell aspect
 ratio, FFT grid shape), up to 4 entries; conj(xi)/xi is scale-invariant, so
 every spacing of one grid shares it (M^2 complex values, 1.2 MB at n=512
-with pad_factor 4). The FFT of the Cauchy kernel is kept per (padded shape,
+with pad_factor 4). The FFT of the Cauchy kernel is kept per (FFT shape,
 cell aspect ratio) in unit cell width, so every spacing of one grid size
-shares it, up to 2 entries of 4 n^2 complex values (16 MB at n=512, 64 MB at
-n=1024). Building one costs a log per corner of the half-integer lattice
-and one FFT.
+shares it, up to 2 entries of M^2 complex values (6.7 MB at n=512, 27 MB at
+n=1024 with pad_factor 4). Building one costs a log per corner of the
+half-integer lattice and one FFT.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _kernel_hat(my, mx, aspect):
     return khat
 
 
-def cauchy_transform(g, spacing):
+def cauchy_transform(g, spacing, border=0):
     """Free-space Cauchy transform of grid data: solves dbar P = g, P -> 0.
 
     Treats g as constant per cell and convolves with the exactly integrated
@@ -241,19 +241,22 @@ def cauchy_transform(g, spacing):
     periodization error and the 1/z tail is reproduced to the accuracy of the
     piecewise-constant density. The kernel of a dx-by-dy cell is dx times the
     kernel of a 1-by-(dy/dx) cell at offsets scaled by 1/dx (the log dx terms
-    cancel in the four-corner sum), so its FFT is cached per grid shape and
-    aspect ratio.
+    cancel in the four-corner sum), so its FFT is cached per FFT shape and
+    aspect ratio. P is returned on g's grid grown by ``border`` zero cells per
+    side; no offset wraps around the cyclic grid of the smallest 5-smooth
+    size of at least 2 (size + border) cells per axis (2n for n = 2^k).
     """
     g = np.asarray(g, dtype=complex)
-    ny, nx = g.shape
+    wy, wx = g.shape
     dx, dy = spacing
-    gp = np.zeros((2 * ny, 2 * nx), dtype=complex)
-    gp[:ny, :nx] = g
+    gp = np.zeros([_next_5_smooth(2 * (m + border)) for m in g.shape],
+                  dtype=complex)
+    gp[border:border + wy, border:border + wx] = g
     spec = np.fft.fft2(gp)
     del gp
-    spec *= _kernel_hat(2 * ny, 2 * nx, dy / dx)
+    spec *= _kernel_hat(*spec.shape, dy / dx)
     spec *= dx
-    return np.fft.ifft2(spec)[:ny, :nx]
+    return np.fft.ifft2(spec)[:wy + 2 * border, :wx + 2 * border]
 
 
 @dataclass(eq=False)
@@ -296,11 +299,26 @@ class GridMap:
     def shape(self):
         return self.values.shape
 
-    def grid(self):
-        return grid_coordinates(self.bbox, self.values.shape)
+    @property
+    def resolution(self):
+        """Twice the larger cell side: the smallest radius at which the
+        bilinear interpolant stands for the map rather than its grid."""
+        xmin, ymin, xmax, ymax = self.bbox
+        ny, nx = self.values.shape
+        return 2.0 * max((xmax - xmin) / nx, (ymax - ymin) / ny)
 
     def __call__(self, z):
         return eval_gridmap(self, z)
+
+    def to_dict(self):
+        """The solve report: convergence, tail, box, phase times and rates."""
+        return {"iterations": self.iterations,
+                "residual": self.final_residual,
+                "tail": [self.tail.real, self.tail.imag],
+                "bbox": list(self.bbox),
+                "timings_ms": self.timings_ms,
+                "observed_rate": self.observed_rate,
+                "sup_mu": self.sup_mu}
 
     def save(self, path):
         """Write a QCMAP1 file: extra header bbox and tail, six float64."""
@@ -350,8 +368,8 @@ def eval_gridmap(gm: GridMap, z):
     return out
 
 
-def _sample_mu(mu, bbox, n, window=np.s_[:, :], supersample=3):
-    """Cell-averaged field samples; averaging keeps sup |mu| < 1.
+def _sample_mu(mu, bbox, n, window=np.s_[:, :]):
+    """Cell averages of 3-by-3 field samples; averaging keeps sup |mu| < 1.
 
     ``window`` (a pair of slices) restricts the sampling to those cells of
     the grid, at the same points as a full-grid call.
@@ -360,12 +378,12 @@ def _sample_mu(mu, bbox, n, window=np.s_[:, :], supersample=3):
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     Z = Z[window]
-    offs = (np.arange(supersample) + 0.5) / supersample - 0.5
+    offs = (np.arange(3) + 0.5) / 3 - 0.5
     acc = np.zeros(Z.shape, dtype=complex)
     for oy in offs:
         for ox in offs:
             acc += mu.evaluate(Z + ox * hx + 1j * oy * hy)
-    return acc / supersample**2
+    return acc / 9
 
 
 def _support_window(grid_n, pad_factor):
@@ -395,9 +413,8 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
 
     Every iterate vanishes off the support of the sampled field, which lies
     in the window of cells meeting the square [-r, r]^2 (r the support
-    radius), so the field is sampled only there and the iteration keeps h
-    only on the support cells; each sweep scatters it into the window, calls
-    the grid's singular transform on the window and gathers the result back.
+    radius), so the field is sampled, h iterated and its Cauchy transform
+    taken only on that window; the transform returns P on the whole grid.
     The result records the time of each phase, the observed contraction rate
     (geometric mean of successive residual ratios; None after one sweep or
     a zero first residual) and sup |mu| over the grid, its theoretical bound.
@@ -412,27 +429,19 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     bbox = (-L, -L, L, L)
     n = (cfg.grid_n, cfg.grid_n)
     _, _, Z = grid_coordinates(bbox, n)
-    # allocated before the sweeps' many small arrays: allocated after them,
-    # it raised the peak RSS of a session of n=256 solves by about 4 MB
-    grid = np.zeros(n, dtype=complex)
     h = 2 * L / cfg.grid_n
     window = _support_window(cfg.grid_n, cfg.pad_factor)
     mu_win = _sample_mu(mu, bbox, n, window)
-    sel = np.nonzero(mu_win)
-    m = mu_win[sel]
     t1 = time.perf_counter()
 
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about
-    win = np.zeros_like(mu_win)
-    del mu_win
-    x = m
+    x = mu_win
     residual = math.inf
     iterations = 0
     history = []
     for iterations in range(1, cfg.max_iter + 1):
-        win[sel] = x
-        nxt = m * singular_transform(win, spacing=(h, h), period=n)[sel] + m
+        nxt = mu_win * singular_transform(x, spacing=(h, h), period=n) + mu_win
         residual = float(np.abs(nxt - x).max(initial=0.0))
         history.append(residual)
         x = nxt
@@ -443,11 +452,10 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
             f"no convergence after {cfg.max_iter} iterations, "
             f"residual {residual:.3e}",
             residual=residual, iterations=cfg.max_iter)
-    grid[window][sel] = x
     t2 = time.perf_counter()
 
-    P = cauchy_transform(grid, spacing=(h, h))
-    tail = complex(grid.sum() * h * h / math.pi)
+    P = cauchy_transform(x, spacing=(h, h), border=window[0].start)
+    tail = complex(x.sum() * h * h / math.pi)
     t3 = time.perf_counter()
     rate = None
     if len(history) > 1 and history[0] > 0:
@@ -459,7 +467,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
                                "iterate": 1e3 * (t2 - t1),
                                "cauchy": 1e3 * (t3 - t2)},
                    observed_rate=rate,
-                   sup_mu=float(np.abs(m).max(initial=0.0)))
+                   sup_mu=float(np.abs(mu_win).max(initial=0.0)))
 
 
 def finite_difference_mu(gm: GridMap):

@@ -10,8 +10,9 @@ import pytest
 from qcmap import cli
 from qcmap.cli import main
 from qcmap.closed_maps import is_allowable_sector
-from qcmap.field import FIELD_MAGIC, write_grid_samples
-from qcmap.solver import GridMap
+from qcmap.field import (FIELD_MAGIC, DiskConstant, SectorConstant,
+                         write_grid_samples)
+from qcmap.solver import GridMap, SolverConfig, solve_principal
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,35 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unwritable_report_path_prints_nothing(tmp_path, capsys):
+    # the report is written before it is printed, and the error names the
+    # path given, not the temp file beside it
+    report = tmp_path / "missing-dir" / "x.json"
+    rc = main(["locus", "--theta0", "1", "--samples", "4",
+               "--out", str(tmp_path / "l.csv"), "--json", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert str(report) in captured.err and ".qcmap-tmp-" not in captured.err
+
+
+def test_solve_report_is_the_gridmap_dict(tmp_path, capsys):
+    spec = {"kind": "disk_constant", "c": [0.3, 0.1], "center": [0, 0],
+            "radius": 1.0}
+    fld = _write_field(tmp_path, spec)
+    rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "64",
+                      "--out", str(tmp_path / "m.qcmap"))
+    assert rc == 0
+    lib = solve_principal(DiskConstant(c=0.3 + 0.1j),
+                          SolverConfig(grid_n=64)).to_dict()
+    res = rep["result"]
+    assert set(res) == set(lib) | {"converged", "out", "oracle_sup_error"}
+    assert set(res.pop("timings_ms")) == set(lib.pop("timings_ms"))
+    assert {k: res[k] for k in lib} == lib
+    assert rep["config"] == {"field": str(fld), "grid_n": 64,
+                             "pad_factor": 4.0, "tol": 1e-8, "max_iter": 1000}
+
+
 def test_solve_holder_grid_field(tmp_path, capsys):
     n = 64
     xs = np.linspace(-1, 1, n)
@@ -263,6 +293,37 @@ def test_certify_map_from_file(tmp_path, capsys):
                       "--annuli", "8")
     assert rc == 0
     assert rep["result"]["verdict"] == "pass"
+
+
+def test_certify_solved_map_gap_matches_closed_form(tmp_path, capsys):
+    # annuli smaller than a cell measure the bilinear interpolant, not the
+    # map: without the resolution floor the gap is 0.053 above fc's
+    c = -0.7593549359674384 + 0.5613125776051014j
+    mp = tmp_path / "m.qcmap"
+    solve_principal(DiskConstant(c=c), SolverConfig(grid_n=256)).save(mp)
+    bound = str(2 * math.log((1 + abs(c)) / (1 - abs(c))) + 0.1)
+    gaps = []
+    for source in (str(mp), f"builtin:fc:{c.real!r},{c.imag!r}"):
+        rc, rep = run_cli(capsys, "certify", "--map", source,
+                          "--centers", "grid:3:1.4", "--bound", bound)
+        assert rc == 0
+        gaps.append(rep["result"]["sup_gap"])
+    assert abs(gaps[0] - gaps[1]) <= 0.02
+
+
+def test_certify_solved_nonallowable_corner_does_not_pass(tmp_path, capsys):
+    # criterion 5's annuli reach far below the cell size of this map, where
+    # the interpolant is smooth and passed with sup gap 1.93
+    mp = tmp_path / "s.qcmap"
+    gm = solve_principal(SectorConstant(c=-0.8, theta0=math.pi / 2, radius=1),
+                         SolverConfig(grid_n=512, pad_factor=2.0))
+    gm.save(mp)
+    rc, rep = run_cli(capsys, "certify", "--map", str(mp),
+                      "--centers=0,0;0.4,0.3", "--bound", "2.5",
+                      "--annuli", "26", "--r-min", "2.26e-6", "--r-max", "1.0")
+    assert rc != 0
+    assert rep["result"]["verdict"] == "fail"
+    assert rep["result"]["unresolved"] > 0
 
 
 def test_certify_nonfinite_map_exits_one(monkeypatch, capsys):

@@ -203,6 +203,29 @@ def test_certify_all_nonfinite_fails_without_gaps():
     assert not rep.verdict
 
 
+def test_certify_default_r_min_is_raised_to_the_resolution():
+    centers = [0.0, 1.0, 1j]
+    rep = certify_bilipschitz(fc_map(0.5), centers, bound=2.3,
+                              annuli_per_center=10, resolution=0.1)
+    assert rep.verdict and rep.unresolved == 0
+    assert min(g.r1 for g in rep.gaps) == pytest.approx(0.1)
+    assert rep.to_dict()["unresolved"] == 0
+
+
+def test_certify_fails_on_annuli_below_the_resolution():
+    # an explicit r_min below the floor: the small annuli are counted, not
+    # tested, and no pass rests on them
+    rep = certify_bilipschitz(fc_map(0.5), [0.0, 1.0], bound=2.3,
+                              annuli_per_center=10, r_min=1e-3, r_max=1.0,
+                              resolution=0.05)
+    r1 = np.exp(np.linspace(0.0, math.log(1e-3), 11)[1:])
+    assert rep.unresolved == 2 * int(np.sum(r1 < 0.05))
+    assert rep.annuli_tested + rep.skipped + rep.unresolved == 20
+    assert min(g.r1 for g in rep.gaps) >= 0.05
+    assert rep.sup_gap <= 2.3
+    assert not rep.verdict
+
+
 def test_certify_requires_radii_for_single_center():
     with pytest.raises(ValueError):
         certify_bilipschitz(identity_map, [0.0], bound=1.0)

@@ -8,6 +8,7 @@ input field.
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,50 @@ def test_cauchy_transform_matches_per_cell_kernel(n, aspect):
     ref = _reference_cauchy(g, (h, aspect * h))
     out = cauchy_transform(g, spacing=(h, aspect * h))
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, pad_factor, aspect", [
+    *((n, p, 1.0) for n in (64, 128) for p in (2.0, 2.5, 4.0)),
+    (64, 4.0, 2.5),
+])
+def test_windowed_cauchy_transform_equals_full_grid(n, pad_factor, aspect):
+    # the solver's Cauchy step: P on the whole grid from its support window
+    g, h = _solver_like_density(n)
+    window = solver._support_window(n, pad_factor)
+    embedded = np.zeros_like(g)
+    embedded[window] = g[window]
+    spacing = (h, aspect * h)
+    ref = cauchy_transform(embedded, spacing=spacing)
+    out = cauchy_transform(g[window], spacing=spacing, border=window[0].start)
+    assert out.shape == (n, n)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_windowed_cauchy_transform_on_odd_fft_grid():
+    # 2 (10 + 3) = 26 cells per axis round up to the odd 5-smooth size 27
+    assert solver._next_5_smooth(26) == 27
+    _, _, Z = grid_coordinates((-1, -1, 1, 1), (10, 10))
+    w = np.exp(-np.abs(Z - 0.2j) ** 2) * (1 + 0.5j * Z.real)
+    embedded = np.zeros((16, 16), dtype=complex)
+    embedded[3:13, 3:13] = w
+    ref = cauchy_transform(embedded, spacing=(0.2, 0.2))
+    out = cauchy_transform(w, spacing=(0.2, 0.2), border=3)
+    assert out.shape == (16, 16)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_warm_solve_memory_peak():
+    # a solve holds its support window, the Cauchy step's FFT grids and the
+    # n-by-n result, but no n-by-n density and no 2n-by-2n padding
+    mu, cfg = DiskConstant(c=0.5), SolverConfig(grid_n=256)
+    solve_principal(mu, cfg)  # fills the kernel caches
+    tracemalloc.start()
+    try:
+        solve_principal(mu, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_transform_caches_match_fresh_calls():
@@ -367,6 +412,11 @@ def test_eval_gridmap_tail_and_boundary_continuity():
     interp = eval_gridmap(gm, z)
     tail_formula = z + gm.tail / z
     assert np.abs(interp - tail_formula).max() < 1e-3
+
+
+def test_gridmap_resolution_is_twice_the_larger_cell_side():
+    gm = GridMap(bbox=(-2, -1, 2, 1), values=np.zeros((8, 16), dtype=complex))
+    assert gm.resolution == 2 * 0.25
 
 
 def test_gridmap_save_load_round_trip(tmp_path):
