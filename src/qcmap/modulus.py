@@ -168,7 +168,11 @@ class AnnulusGapRecord:
 
 @dataclass
 class CertificateReport:
-    """Outcome of the modulus-gap certification run."""
+    """Outcome of the modulus-gap certification run.
+
+    ``r_min`` and ``r_max`` are the radii the annuli were built from, after
+    the defaults and the resolution floor were applied.
+    """
 
     bound: float
     annuli_tested: int
@@ -182,9 +186,13 @@ class CertificateReport:
     mu_sup: float = None
     nonfinite: int = 0
     unresolved: int = 0
+    r_min: float = None
+    r_max: float = None
 
     def to_dict(self):
         return {"bound": self.bound,
+                "r_min": self.r_min,
+                "r_max": self.r_max,
                 "annuli_tested": self.annuli_tested,
                 "skipped": self.skipped,
                 "nonfinite": self.nonfinite,
@@ -294,7 +302,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         lipschitz_min=lip_min, lipschitz_max=lip_max, lipschitz_pairs=int(ii.size),
         verdict=not (nonfinite or unresolved) and sup_gap <= float(bound),
         mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite,
-        unresolved=unresolved)
+        unresolved=unresolved, r_min=float(r_min), r_max=float(r_max))
 
 
 def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec,

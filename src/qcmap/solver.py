@@ -6,27 +6,29 @@ singular integral sending dbar-potentials to d-potentials. S is a Fourier
 multiplier of modulus one, so the Neumann iteration contracts in L2 at rate
 sup |mu|. The field is sampled, and h iterated, only on the window of cells
 that meet the support square; each sweep applies the n-by-n periodic S to
-that window with two M-by-M FFTs, M about twice the window width, and a
-multiply by the cached folded kernel.
+that window as a cyclic convolution on an M-by-M grid, M about twice the
+window width: a forward FFT whose first pass runs on the window's rows
+only, a multiply by the cached kernel FFT, and an inverse FFT.
 
 The final Cauchy step is done as a free-space convolution with the exactly
 integrated per-cell kernel on a zero-padded grid rather than with the
 periodic spectral inverse: periodization of the 1/z kernel leaves an
 antilinear artifact of size ~ |total h| * |z| / box area, which would
 dominate the oracle error budget, while the cell kernel reproduces the decay
-P -> 0 at infinity and the 1/z far-field tail automatically. It maps h on
-the window to P on the grid with two M-by-M FFTs once the kernel FFT is
-cached (M = 324 at n=256, 648 at n=512 with pad_factor 4).
+P -> 0 at infinity and the 1/z far-field tail automatically. It is the same
+convolution as a sweep's, with the kernel placed to shift the result by the
+window's offset in the grid, so it maps h on the window to P on the grid
+(M = 324 at n=256, 648 at n=512 with pad_factor 4).
 
-Two bounded caches live for the life of the process. The S multiplier,
-folded onto the window's FFT grid, is kept per (grid shape, cell aspect
-ratio, FFT grid shape), up to 4 entries; conj(xi)/xi is scale-invariant, so
-every spacing of one grid shares it (M^2 complex values, 1.2 MB at n=512
-with pad_factor 4). The FFT of the Cauchy kernel is kept per (FFT shape,
-cell aspect ratio) in unit cell width, so every spacing of one grid size
-shares it, up to 2 entries of M^2 complex values (6.7 MB at n=512, 27 MB at
-n=1024 with pad_factor 4). Building one costs a log per corner of the
-half-integer lattice and one FFT.
+One bounded cache lives for the life of the process: the FFT of each
+kernel, kept per (FFT grid shape, cell aspect ratio, S period or none,
+shift), up to 4 entries, 2 per grid size. Both kernels are taken in unit
+cell width: conj(xi)/xi is scale-invariant, and the Cauchy kernel of a
+dx-wide cell is dx times that of a unit one, so every spacing of one grid
+shares them. An entry is M^2 complex values: 1.2 MB for S and 6.7 MB for
+the Cauchy step at n=512 with pad_factor 4, 27 MB for the Cauchy step at
+n=1024. Building the S entry costs one n-by-n inverse FFT, the Cauchy one
+a log per corner of the half-integer lattice; each then takes one FFT.
 """
 
 from __future__ import annotations
@@ -99,43 +101,6 @@ def _next_5_smooth(n):
         n += 1
 
 
-def _signed_offsets(m):
-    """Offset represented by each index of an m-point cyclic axis, FFT order."""
-    d = np.arange(m)
-    d[(m + 1) // 2:] -= m
-    return d
-
-
-@functools.lru_cache(maxsize=4)
-def _s_multiplier(ny, nx, aspect, my, mx):
-    """The ny-by-nx torus S as a multiplier on an my-by-mx cyclic grid; read-only.
-
-    conj(xi) / xi depends only on the cell aspect ratio dy/dx, not on the
-    spacing. With (my, mx) == (ny, nx) the result is that multiplier on the
-    FFT frequency grid, zero at the origin. Otherwise the torus kernel
-    ifft2(conj(xi) / xi) is read at the offsets an my-by-mx cyclic grid
-    represents, |d| <= (m - 1) / 2 per axis, and transformed: a cyclic
-    convolution on that grid then agrees with the torus operator for every
-    input and output in a window of at most (m + 1) / 2 cells per axis.
-    """
-    kx = np.fft.fftfreq(nx)
-    ky = np.fft.fftfreq(ny, d=aspect)
-    zeta = kx[None, :] + 1j * ky[:, None]
-    mult = np.zeros_like(zeta)
-    nzero = zeta != 0
-    mult[nzero] = np.conj(zeta[nzero]) / zeta[nzero]
-    del zeta, nzero
-    if (my, mx) != (ny, nx):
-        kernel = np.fft.ifft2(mult)
-        del mult
-        folded = kernel[np.ix_(_signed_offsets(my) % ny, _signed_offsets(mx) % nx)]
-        del kernel
-        mult = np.fft.fft2(folded)
-        del folded
-    mult.flags.writeable = False
-    return mult
-
-
 def _warn_if_periodized(g, ny, nx):
     """Warn when more than 1% of the energy of g lies in the outer eighth.
 
@@ -162,56 +127,38 @@ def _warn_if_periodized(g, ny, nx):
                           RuntimeWarning, stacklevel=3)
 
 
-def singular_transform(g, spacing=(1.0, 1.0), period=None):
-    """Apply the plane singular integral with multiplier conj(xi) / xi.
+def _s_kernel(my, mx, aspect, period):
+    """Torus S kernel at the offsets -(m // 2) ... m - m // 2 - 1 per axis.
 
-    This is the two-dimensional Hilbert-type transform taking dbar h to d h:
-    forward FFT, multiply by conj(xi)/xi with the zero frequency set to 0,
-    inverse FFT. The multiplier is unimodular away from the origin, so grid
-    L2 norms of mean-zero inputs are preserved. Accuracy degrades when the
-    input support reaches the grid boundary; inputs with more than 1% of
-    their energy in the outer eighth of the grid trigger a warning.
-
-    With ``period`` = (ny, nx), g is a window of an ny-by-nx grid that is
-    zero outside it, and the result is the ny-by-nx transform read back on
-    the window. Its output and input offsets lie within the window size, so
-    the torus kernel folded onto the smallest 5-smooth cyclic grid of at
-    least 2 b - 1 cells per axis (b the window size) applies it exactly; an
-    axis where that grid is not smaller than the period keeps the plain
-    multiplier. The periodization warning treats the window as centered in
-    its period.
+    The kernel is ifft2 of conj(xi) / xi with the zero frequency set to 0 on
+    the ``period`` torus, read at those offsets mod the period. conj(xi) / xi depends only on the
+    cell aspect ratio dy/dx, not on the spacing.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2:
-        raise ValueError("expected a 2D complex array")
-    wy, wx = g.shape
-    ny, nx = g.shape if period is None else period
-    if wy > ny or wx > nx:
-        raise ValueError(f"window {g.shape} exceeds its period {(ny, nx)}")
-    dx, dy = spacing
-    _warn_if_periodized(g, ny, nx)
-    my = min(ny, _next_5_smooth(2 * wy - 1))
-    mx = min(nx, _next_5_smooth(2 * wx - 1))
-    padded = np.zeros((my, mx), dtype=complex)
-    padded[:wy, :wx] = g
-    spec = np.fft.fft2(padded)
-    spec *= _s_multiplier(ny, nx, dy / dx, my, mx)
-    return np.fft.ifft2(spec)[:wy, :wx]
+    ny, nx = period
+    kx = np.fft.fftfreq(nx)
+    ky = np.fft.fftfreq(ny, d=aspect)
+    zeta = kx[None, :] + 1j * ky[:, None]
+    mult = np.zeros_like(zeta)
+    nzero = zeta != 0
+    mult[nzero] = np.conj(zeta[nzero]) / zeta[nzero]
+    del zeta, nzero
+    kernel = np.fft.ifft2(mult)
+    del mult
+    return kernel[np.ix_(np.arange(-(my // 2), my - my // 2) % ny,
+                         np.arange(-(mx // 2), mx - mx // 2) % nx)]
 
 
-@functools.lru_cache(maxsize=2)
-def _kernel_hat(my, mx, aspect):
-    """FFT of the exactly integrated Cauchy kernel of a 1-by-aspect cell.
+def _cauchy_kernel(my, mx, aspect):
+    """Exactly integrated Cauchy kernel of a 1-by-aspect cell.
 
-    Entry [ky, kx] (in FFT order) of the kernel is (1/pi) times the integral
-    of dA(v) / (u - v) over the cell centered at 0, evaluated at the offset
-    u = kx + i aspect ky, for -mx/2 <= kx < mx/2 and -my/2 <= ky < my/2. The
+    Entry [ky + my // 2, kx + mx // 2] is (1/pi) times the integral of
+    dA(v) / (u - v) over the cell centered at 0, evaluated at the offset
+    u = kx + i aspect ky, for -(m // 2) <= k < m - m // 2 per axis. The
     closed form is the four-corner difference of G(s) = s (log s - 1), and
     every cell corner lies on one half-integer lattice, so G is evaluated
     once per lattice point. The principal branch needs a correction on the
     row ky = 0: there the vertical antiderivative path crosses the negative
-    real cut for source columns right of the evaluation point. The result
-    is read-only.
+    real cut for source columns right of the evaluation point.
     """
     ny, nx = my // 2, mx // 2
     a = np.arange(mx + 1) - (nx + 0.5)
@@ -226,11 +173,63 @@ def _kernel_hat(my, mx, aspect):
     kx = np.arange(-nx, mx - nx)
     K[ny] += -2.0 * math.pi * (0.5 - np.clip(kx, -0.5, 0.5))
     K /= math.pi
-    K = np.fft.ifftshift(K)
+    return K
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_hat(my, mx, aspect, period=None, shift=0):
+    """FFT of a convolution kernel on an my-by-mx cyclic grid; read-only.
+
+    The kernel is the torus S of ``period`` or, without one, the Cauchy
+    kernel of a 1-by-aspect cell, taken at the offsets -(m // 2) ... m -
+    m // 2 - 1 per axis and placed so that offset d sits at index
+    (d + shift) mod m. Multiplying it into the FFT of data placed at the
+    grid's origin convolves the data with the kernel and moves the result
+    ``shift`` cells along each axis.
+    """
+    if period is None:
+        K = _cauchy_kernel(my, mx, aspect)
+    else:
+        K = _s_kernel(my, mx, aspect, period)
+    K = np.roll(K, (shift - my // 2, shift - mx // 2), axis=(0, 1))
     khat = np.fft.fft2(K)
     del K
     khat.flags.writeable = False
     return khat
+
+
+def singular_transform(g, spacing=(1.0, 1.0), period=None):
+    """Apply the plane singular integral with multiplier conj(xi) / xi.
+
+    This is the two-dimensional Hilbert-type transform taking dbar h to d h:
+    forward FFT, multiply by conj(xi)/xi with the zero frequency set to 0,
+    inverse FFT. The multiplier is unimodular away from the origin, so grid
+    L2 norms of mean-zero inputs are preserved. Accuracy degrades when the
+    input support reaches the grid boundary; inputs with more than 1% of
+    their energy in the outer eighth of the grid trigger a warning.
+
+    With ``period`` = (ny, nx), g is a window of an ny-by-nx grid that is
+    zero outside it, and the result is the ny-by-nx transform read back on
+    the window. Its output and input offsets lie within the window size, so
+    the torus kernel read onto a cyclic grid of the smallest 5-smooth size
+    of at least 2 b - 1 cells per axis (b the window size), or of the
+    period if that is smaller, applies it exactly. The periodization
+    warning treats the window as centered in its period.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 2:
+        raise ValueError("expected a 2D complex array")
+    wy, wx = g.shape
+    ny, nx = g.shape if period is None else period
+    if wy > ny or wx > nx:
+        raise ValueError(f"window {g.shape} exceeds its period {(ny, nx)}")
+    dx, dy = spacing
+    _warn_if_periodized(g, ny, nx)
+    my = min(ny, _next_5_smooth(2 * wy - 1))
+    mx = min(nx, _next_5_smooth(2 * wx - 1))
+    spec = np.fft.fft2(g, s=(my, mx))
+    spec *= _kernel_hat(my, mx, dy / dx, period=(ny, nx))
+    return np.fft.ifft2(spec)[:wy, :wx]
 
 
 def cauchy_transform(g, spacing, border=0):
@@ -249,12 +248,8 @@ def cauchy_transform(g, spacing, border=0):
     g = np.asarray(g, dtype=complex)
     wy, wx = g.shape
     dx, dy = spacing
-    gp = np.zeros([_next_5_smooth(2 * (m + border)) for m in g.shape],
-                  dtype=complex)
-    gp[border:border + wy, border:border + wx] = g
-    spec = np.fft.fft2(gp)
-    del gp
-    spec *= _kernel_hat(*spec.shape, dy / dx)
+    spec = np.fft.fft2(g, s=[_next_5_smooth(2 * (m + border)) for m in g.shape])
+    spec *= _kernel_hat(*spec.shape, dy / dx, shift=border)
     spec *= dx
     return np.fft.ifft2(spec)[:wy + 2 * border, :wx + 2 * border]
 
@@ -368,16 +363,11 @@ def eval_gridmap(gm: GridMap, z):
     return out
 
 
-def _sample_mu(mu, bbox, n, window=np.s_[:, :]):
+def _sample_mu(mu, Z, hx, hy):
     """Cell averages of 3-by-3 field samples; averaging keeps sup |mu| < 1.
 
-    ``window`` (a pair of slices) restricts the sampling to those cells of
-    the grid, at the same points as a full-grid call.
+    Z holds the cell centers and hx, hy the cell sides.
     """
-    xs, ys, Z = grid_coordinates(bbox, n)
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    Z = Z[window]
     offs = (np.arange(3) + 0.5) / 3 - 0.5
     acc = np.zeros(Z.shape, dtype=complex)
     for oy in offs:
@@ -428,10 +418,10 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     L = cfg.pad_factor * rad
     bbox = (-L, -L, L, L)
     n = (cfg.grid_n, cfg.grid_n)
-    _, _, Z = grid_coordinates(bbox, n)
+    xs, ys, Z = grid_coordinates(bbox, n)
     h = 2 * L / cfg.grid_n
     window = _support_window(cfg.grid_n, cfg.pad_factor)
-    mu_win = _sample_mu(mu, bbox, n, window)
+    mu_win = _sample_mu(mu, Z[window], xs[1] - xs[0], ys[1] - ys[0])
     t1 = time.perf_counter()
 
     # supports are confined to the central 1/pad_factor by construction, so

@@ -311,6 +311,21 @@ def test_certify_solved_map_gap_matches_closed_form(tmp_path, capsys):
     assert abs(gaps[0] - gaps[1]) <= 0.02
 
 
+def test_certify_reports_the_radii_it_used(tmp_path, capsys):
+    # no --r-min: the default is raised to the map's resolution floor, 2h
+    mp = tmp_path / "m.qcmap"
+    gm = solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64))
+    gm.save(mp)
+    rc, rep = run_cli(capsys, "certify", "--map", str(mp),
+                      "--centers", "grid:3:1.4", "--bound", "2.3")
+    assert rc == 0
+    res = rep["result"]
+    assert rep["config"]["r_min"] is None
+    assert res["r_min"] == gm.resolution == 0.25
+    assert min(g["r1"] for g in res["gaps"]) == pytest.approx(res["r_min"])
+    assert max(g["r2"] for g in res["gaps"]) == res["r_max"]
+
+
 def test_certify_solved_nonallowable_corner_does_not_pass(tmp_path, capsys):
     # criterion 5's annuli reach far below the cell size of this map, where
     # the interpolant is smooth and passed with sup gap 1.93

@@ -200,7 +200,6 @@ def test_transform_caches_match_fresh_calls():
 
     fresh = []
     for shape, spacing in cases:
-        solver._s_multiplier.cache_clear()
         solver._kernel_hat.cache_clear()
         fresh.append(transforms(shape, spacing))
     for _ in range(2):
@@ -210,15 +209,23 @@ def test_transform_caches_match_fresh_calls():
 
 
 def test_transform_caches_are_read_only():
-    solver._s_multiplier.cache_clear()
     solver._kernel_hat.cache_clear()
-    mult = solver._s_multiplier(64, 64, 1.0, 64, 64)
-    folded = solver._s_multiplier(64, 64, 1.0, 36, 36)
+    torus = solver._kernel_hat(64, 64, 1.0, period=(64, 64))
+    folded = solver._kernel_hat(36, 36, 1.0, period=(64, 64))
     khat = solver._kernel_hat(128, 128, 1.0)
-    for arr in (mult, folded, khat):
+    shifted = solver._kernel_hat(90, 90, 1.0, shift=23)
+    for arr in (torus, folded, khat, shifted):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def test_solve_caches_one_kernel_per_transform():
+    # the S sweeps and the Cauchy step share the one kernel cache, one
+    # entry each per grid size
+    solver._kernel_hat.cache_clear()
+    solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64, pad_factor=4.0))
+    assert solver._kernel_hat.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("period, shape, spacing", [
@@ -230,8 +237,8 @@ def test_transform_caches_are_read_only():
     ((64, 96), (20, 31), (0.1, 0.25)),
 ])
 def test_windowed_transform_equals_torus_transform(period, shape, spacing):
-    # a window wider than half its period keeps the plain multiplier on
-    # that axis; the folded kernel must reproduce the torus operator exactly
+    # a window wider than half its period is convolved on the period itself
+    # along that axis; the kernel must reproduce the torus operator exactly
     rng = np.random.default_rng(sum(shape))
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     oy, ox = ((p - b) // 2 for p, b in zip(period, shape))
@@ -252,7 +259,7 @@ def test_windowed_transform_rejects_window_beyond_period():
 @pytest.mark.parametrize("pad_factor", [4.0, 2.0])
 def test_solve_matches_full_grid_neumann_loop(pad_factor):
     # at pad_factor 2 the support window is wider than half the grid, so the
-    # sweeps take the plain-multiplier path
+    # sweeps convolve on the full n-by-n torus
     mu = DiskConstant(c=0.6 - 0.3j, center=0.3 + 0.1j, radius=0.8)
     cfg = SolverConfig(grid_n=64, tol=1e-10, pad_factor=pad_factor)
     with warnings.catch_warnings():
@@ -260,9 +267,9 @@ def test_solve_matches_full_grid_neumann_loop(pad_factor):
         warnings.simplefilter("error", RuntimeWarning)
         gm = solve_principal(mu, cfg)
     n = (cfg.grid_n, cfg.grid_n)
-    _, _, Z = grid_coordinates(gm.bbox, n)
+    xs, ys, Z = grid_coordinates(gm.bbox, n)
     h = (gm.bbox[2] - gm.bbox[0]) / cfg.grid_n
-    m = solver._sample_mu(mu, gm.bbox, n)
+    m = solver._sample_mu(mu, Z, xs[1] - xs[0], ys[1] - ys[0])
     cur = m.copy()
     for it in range(1, cfg.max_iter + 1):
         nxt = m * singular_transform(cur, spacing=(h, h)) + m
@@ -371,12 +378,14 @@ def test_sampled_field_vanishes_outside_support_window(mu, pad_factor):
     L = pad_factor * mu.support_radius()
     bbox = (-L, -L, L, L)
     window = solver._support_window(n[0], pad_factor)
-    full = solver._sample_mu(mu, bbox, n)
+    xs, ys, Z = grid_coordinates(bbox, n)
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    full = solver._sample_mu(mu, Z, hx, hy)
     outside = np.ones(n, dtype=bool)
     outside[window] = False
     assert np.any(full)
     assert not np.any(full[outside])
-    assert np.array_equal(solver._sample_mu(mu, bbox, n, window), full[window])
+    assert np.array_equal(solver._sample_mu(mu, Z[window], hx, hy), full[window])
 
 
 def test_solver_config_validation():
