@@ -1,4 +1,5 @@
-"""Shared array plumbing: the pointwise evaluator contract and the grid codec.
+"""Shared edge rules: the pointwise evaluator contract, the grid codec and
+the checks on a Beltrami coefficient and a sector opening.
 
 ``pointwise`` gives every evaluator ``fn(obj, z, ...)`` one shape contract:
 the body sees a 1-D complex array, a scalar input returns a Python scalar
@@ -13,6 +14,7 @@ by increasing imaginary part.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 
 import numpy as np
@@ -29,6 +31,22 @@ def pointwise(fn):
         return out.reshape(zz.shape)
 
     return wrapper
+
+
+def coefficient(c, error=ValueError):
+    """``c`` as a complex; raises ``error`` unless |c| < 1, so also for NaN or inf."""
+    c = complex(c)
+    if not abs(c) < 1.0:
+        raise error(f"need |c| < 1, got c = {c!r}")
+    return c
+
+
+def opening(theta0, error=ValueError):
+    """``theta0`` as a float; raises ``error`` unless it lies in (0, 2*pi)."""
+    theta0 = float(theta0)
+    if not 0.0 < theta0 < 2.0 * math.pi:
+        raise error(f"theta0 must lie in (0, 2*pi), got {theta0}")
+    return theta0
 
 
 def write_grid(path, magic, values, header=b""):

@@ -21,24 +21,31 @@ import numpy as np
 
 from . import __version__
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
-                          fc_map, identity_map, sector_invariants,
-                          unrotate_corner)
+                          fc_map, identity_map, is_allowable_sector,
+                          sector_invariants, unrotate_corner)
 from .field import DiskConstant, field_from_json
 from .modulus import NotSeparatedError, certify_bilipschitz
 from .solver import ConvergenceError, GridMap, SolverConfig, grid_coordinates, \
     solve_principal
 
 
-def _parse_complex(text):
+def _finite(text):
+    """The float ``text`` spells; ValueError unless it is a finite number."""
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    raise ValueError(f"expected a finite number, got {text!r}")
+
+
+def _parse_complex(text):
+    """'re' or 're,im' as a complex of finite parts; ValueError otherwise."""
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*map(_finite, parts))
 
 
 def _parse_map(source):
@@ -57,7 +64,7 @@ def _parse_map(source):
             except ValueError:
                 raise ValueError(f"expected builtin:fangle:re,im:theta0, got {source!r}")
             c = _parse_complex(c_text)
-            theta0 = float(theta_text)
+            theta0 = _finite(theta_text)
             return fangle_map(c, theta0), {"kind": "fangle",
                                            "c": [c.real, c.imag],
                                            "theta0": theta0}
@@ -71,7 +78,7 @@ def _parse_centers(spec):
         try:
             _, n_text, hw_text = spec.split(":")
             n = int(n_text)
-            hw = float(hw_text)
+            hw = _finite(hw_text)
         except ValueError:
             raise ValueError(f"expected grid:<n>:<halfwidth>, got {spec!r}")
         if n < 1 or hw <= 0:
@@ -143,7 +150,6 @@ def _cmd_allowable(args):
     else:
         c_eff, theta0, beta, mode = c, args.theta0, None, "sector"
     spec = sector_invariants(c_eff, theta0)
-    verdict = abs(spec.lam.real - 1.0) <= args.tol
     result = {"mode": mode,
               "theta0": theta0,
               "c": [c.real, c.imag],
@@ -152,7 +158,7 @@ def _cmd_allowable(args):
               "R": spec.R,
               "theta1": spec.theta1,
               "lambda": [spec.lam.real, spec.lam.imag],
-              "allowable": bool(verdict),
+              "allowable": is_allowable_sector(c_eff, theta0, args.tol),
               "tol": args.tol}
     _emit("allowable", {"tol": args.tol}, result, t0, args.json)
     return 0
@@ -272,7 +278,7 @@ _CURVE_COLORS = {"grid": (70, 130, 180), "circle": (200, 40, 40),
 def _cmd_render(args):
     t0 = time.perf_counter()
     f, meta = _parse_map(args.map)
-    window = tuple(float(v) for v in args.window.split(","))
+    window = tuple(_finite(v) for v in args.window.split(","))
     if len(window) != 4 or window[0] >= window[2] or window[1] >= window[3]:
         raise ValueError(f"bad window {args.window!r}")
     if args.px < 16:
@@ -305,19 +311,19 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("allowable", help="sector/corner allowability of c")
-    pa.add_argument("--theta0", type=float, default=None,
+    pa.add_argument("--theta0", type=_finite, default=None,
                     help="sector opening in radians")
     pa.add_argument("--c", type=_parse_complex, required=True)
-    pa.add_argument("--alpha", type=float, default=None,
+    pa.add_argument("--alpha", type=_finite, default=None,
                     help="corner opening as a multiple of pi (corner mode)")
-    pa.add_argument("--beta", type=float, default=None,
+    pa.add_argument("--beta", type=_finite, default=None,
                     help="corner rotation in radians (corner mode)")
-    pa.add_argument("--tol", type=float, default=1e-9)
+    pa.add_argument("--tol", type=_finite, default=1e-9)
     pa.add_argument("--json", default=None, help="also write the report here")
     pa.set_defaults(func=_cmd_allowable)
 
     pl = sub.add_parser("locus", help="sample the allowable locus to CSV")
-    pl.add_argument("--theta0", type=float, required=True)
+    pl.add_argument("--theta0", type=_finite, required=True)
     pl.add_argument("--samples", type=int, default=256,
                     help="points along the arc of the locus")
     pl.add_argument("--out", required=True)
@@ -327,8 +333,8 @@ def build_parser():
     ps = sub.add_parser("solve", help="solve the Beltrami equation on a grid")
     ps.add_argument("--field", required=True, help="field spec JSON path")
     ps.add_argument("--grid-n", type=int, default=512)
-    ps.add_argument("--pad-factor", type=float, default=4.0)
-    ps.add_argument("--tol", type=float, default=1e-8)
+    ps.add_argument("--pad-factor", type=_finite, default=4.0)
+    ps.add_argument("--tol", type=_finite, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=1000)
     ps.add_argument("--out", required=True, help="output .qcmap path")
     ps.add_argument("--json", default=None)
@@ -340,11 +346,11 @@ def build_parser():
                          "builtin:fangle:re,im:theta0 | path.qcmap")
     pc.add_argument("--centers", required=True,
                     help="grid:<n>:<halfwidth> or 're,im;re,im;...'")
-    pc.add_argument("--bound", type=float, required=True)
+    pc.add_argument("--bound", type=_finite, required=True)
     pc.add_argument("--annuli", type=int, default=20)
     pc.add_argument("--circle-samples", type=int, default=1024)
-    pc.add_argument("--r-min", type=float, default=None)
-    pc.add_argument("--r-max", type=float, default=None)
+    pc.add_argument("--r-min", type=_finite, default=None)
+    pc.add_argument("--r-max", type=_finite, default=None)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", default=None, help="write the JSON report here")
     pc.set_defaults(func=_cmd_certify)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import pointwise
+from ._arrays import coefficient, opening, pointwise
 
 _TWO_PI = 2.0 * math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
@@ -31,10 +31,7 @@ class DiskMapSpec:
     c: complex
 
     def __post_init__(self):
-        c = complex(self.c)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)) or abs(c) >= 1:
-            raise ValueError(f"need finite |c| < 1, got {self.c!r}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", coefficient(self.c))
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,8 @@ def sector_invariants(c, theta0):
     in [0, 2*pi). For theta0 = pi the quotient is exactly -1 for every |c| < 1
     and lambda = 1, the half-plane case.
     """
-    c = complex(c)
-    if abs(c) >= 1:
-        raise ValueError(f"need |c| < 1, got |c| = {abs(c)}")
-    theta0 = float(theta0)
-    if not (0.0 < theta0 < _TWO_PI):
-        raise ValueError(f"theta0 must lie in (0, 2*pi), got {theta0}")
+    c = coefficient(c)
+    theta0 = opening(theta0)
     w = (np.exp(1j * theta0) + c * np.exp(-1j * theta0)) / (1.0 + c)
     R = abs(w)
     theta1 = float(np.angle(w)) % _TWO_PI
@@ -214,9 +207,7 @@ def allowable_locus(theta0, samples=256):
     rounding of the degenerate openings 0, pi and 2*pi can points round onto
     the unit circle; they are dropped.
     """
-    theta0 = float(theta0)
-    if not (0.0 < theta0 < _TWO_PI):
-        raise ValueError(f"theta0 must lie in (0, 2*pi), got {theta0}")
+    theta0 = opening(theta0)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if abs(theta0 - math.pi) < 1e-15:
@@ -245,7 +236,7 @@ def compose_dilatation(mu1, mu2, arg_df2):
     """
     mu1 = np.asarray(mu1, dtype=complex)
     mu2 = np.asarray(mu2, dtype=complex)
-    if np.any(np.abs(mu2) >= 1.0):
+    if not np.all(np.abs(mu2) < 1.0):
         raise ValueError("need |mu2| < 1")
     out = (mu1 - mu2) / (1.0 - mu1 * np.conj(mu2)) * np.exp(2j * np.asarray(arg_df2))
     if out.ndim == 0:

@@ -76,12 +76,6 @@ class CircleHomeo:
 
         return cls(gamma=gamma, gamma_prime=gamma_prime)
 
-    @classmethod
-    def from_json(cls, spec):
-        if spec.get("kind") != "fourier":
-            raise ValueError(f"unknown circle homeomorphism kind {spec.get('kind')!r}")
-        return cls.from_fourier(a=spec.get("a", ()), b=spec.get("b", ()))
-
 
 def _spectral_derivative(gamma, n=_SPECTRAL_N):
     th = np.arange(n) * (_TWO_PI / n)

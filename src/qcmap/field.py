@@ -11,6 +11,7 @@ All fields are immutable after construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import pointwise, read_grid, write_grid
+from ._arrays import coefficient, opening, pointwise, read_grid, write_grid
 
 FIELD_MAGIC = b"QCFLD1\x00\x00"
 
@@ -27,13 +28,6 @@ _TWO_PI = 2.0 * math.pi
 
 class FieldError(ValueError):
     """Invalid dilatation field specification."""
-
-
-def _check_finite_complex(value, name):
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise FieldError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -45,12 +39,12 @@ class DiskConstant:
     radius: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _check_finite_complex(self.c, "c"))
-        object.__setattr__(self, "center", _check_finite_complex(self.center, "center"))
+        object.__setattr__(self, "c", coefficient(self.c, FieldError))
+        object.__setattr__(self, "center", complex(self.center))
+        if not cmath.isfinite(self.center):
+            raise FieldError(f"center must be finite, got {self.center!r}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise FieldError(f"radius must be positive and finite, got {self.radius}")
-        if abs(self.c) >= 1.0:
-            raise FieldError(f"|c| must be < 1, got |c| = {abs(self.c)}")
 
     @property
     def sup_norm(self):
@@ -89,11 +83,8 @@ class SectorConstant:
     radius: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _check_finite_complex(self.c, "c"))
-        if abs(self.c) >= 1.0:
-            raise FieldError(f"|c| must be < 1, got |c| = {abs(self.c)}")
-        if not (0.0 < self.theta0 < _TWO_PI):
-            raise FieldError(f"theta0 must lie in (0, 2*pi), got {self.theta0}")
+        object.__setattr__(self, "c", coefficient(self.c, FieldError))
+        object.__setattr__(self, "theta0", opening(self.theta0, FieldError))
         if not math.isfinite(self.beta):
             raise FieldError("beta must be finite")
         if not self.radius > 0:

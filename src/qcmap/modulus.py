@@ -78,10 +78,6 @@ class BoundingAnnuli:
         return math.log(self.rho2 / self.R1), math.log(self.R2 / self.rho1)
 
     @property
-    def D(self):
-        return AnnulusSpec(self.image_center, self.rho1, self.R2)
-
-    @property
     def E(self):
         if not self.separated:
             raise NotSeparatedError("R1 >= rho2, the inner annulus is empty")
@@ -217,7 +213,7 @@ def _diameter(pts):
 def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
                         circle_samples=1024, r_min=None, r_max=None,
                         max_pairs=4000, seed=0,
-                        resolution=0.0) -> CertificateReport:
+                        resolution=None) -> CertificateReport:
     """Certify bounded modulus distortion of f over annuli centered in test_set.
 
     For each center, builds ``annuli_per_center`` annuli with fixed outer
@@ -232,14 +228,16 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     non-finite image center or radius are counted in ``nonfinite`` and fail
     the verdict.
 
-    ``resolution`` is the smallest radius at which f is known (a sampled
-    map's ``GridMap.resolution``; 0 for closed forms). The default r_min is
+    ``resolution`` is the smallest radius at which f is known (by default
+    f's ``resolution``, as a ``GridMap`` has, else 0). The default r_min is
     raised to it; annuli with a smaller inner radius are not tested, are
     counted in ``unresolved`` and fail the verdict.
 
     Lipschitz ratios |f(x) - f(y)| / |x - y| over pairs of test points are
     reported as corroborating diagnostics; they are not the criterion.
     """
+    if resolution is None:
+        resolution = getattr(f, "resolution", 0.0)
     pts = np.asarray(list(test_set), dtype=complex).ravel()
     if pts.size == 0:
         raise ValueError("empty test set")

@@ -69,8 +69,8 @@ class SolverConfig:
         n = self.grid_n
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
-        if self.pad_factor < 2.0:
-            raise ValueError("pad_factor must be >= 2")
+        if not 2.0 <= self.pad_factor < math.inf:
+            raise ValueError("pad_factor must be finite and >= 2")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:

@@ -1,4 +1,5 @@
-"""The shared contracts of qcmap._arrays: pointwise shapes and the grid codec."""
+"""The shared contracts of qcmap._arrays: pointwise shapes, the grid codec
+and the input rules."""
 
 import math
 import struct
@@ -146,3 +147,19 @@ def test_field_file_rejects_zero_dims(tmp_path):
     p.write_bytes(field.FIELD_MAGIC + struct.pack("<II", 0, 3))
     with pytest.raises(FieldError, match="zero"):
         read_grid_samples(p)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: closed_maps.sector_invariants(complex(_NAN), 1.0),
+    lambda: closed_maps.is_allowable_sector(complex(_NAN), 1.0),
+    lambda: closed_maps.fangle_map(complex(0.3, _NAN), 1.0),
+    lambda: closed_maps.compose_dilatation(0.2, complex(_NAN), 0.0),
+    lambda: solver.SolverConfig(grid_n=64, pad_factor=_NAN),
+], ids=["sector_invariants", "is_allowable_sector", "fangle_map",
+        "compose_dilatation", "SolverConfig"])
+def test_nan_inputs_are_rejected_where_they_enter(build):
+    with pytest.raises(ValueError):
+        build()

@@ -514,3 +514,32 @@ def test_fangle_ray_renders_as_log_spiral(capsys):
     assert np.abs(resid).max() < 1e-9
     # slope of the spiral: log|w| = (Re lam / Im lam) * arg(w) along the axis
     assert coef[0] == pytest.approx(s.lam.real / s.lam.imag, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["allowable", "--theta0", "1.5", "--c", "nan,0"],
+    ["allowable", "--c", "0.3,0", "--alpha", "0.5", "--beta", "nan"],
+    ["render", "--map", "builtin:fangle:nan,0:1.5", "--window=-2,-2,2,2"],
+    ["certify", "--map", "builtin:fc:abc", "--centers", "0,0;1,0",
+     "--bound", "1"],
+    ["certify", "--map", "builtin:identity", "--centers", "0,0;x,1",
+     "--bound", "1"],
+    ["certify", "--map", "builtin:identity", "--centers", "0,0;nan,0",
+     "--bound", "1", "--r-min", "0.01", "--r-max", "1"],
+    ["certify", "--map", "builtin:identity", "--centers", "0,0;1,0",
+     "--bound", "inf"],
+    ["solve", "--field", '{"kind": "disk_constant", "c": [0.5, 0]}',
+     "--grid-n", "64", "--pad-factor", "nan"],
+], ids=["c", "beta", "fangle_c", "fc_c", "center", "nan_center", "bound",
+        "pad_factor"])
+def test_nonfinite_or_malformed_number_exits_two(tmp_path, capsys, argv):
+    if argv[0] in ("render", "solve"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects an option's value
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err

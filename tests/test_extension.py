@@ -107,14 +107,6 @@ def test_spectral_derivative_matches_analytic():
     np.testing.assert_allclose(mu_F(sampled, z), mu_F(analytic, z), atol=1e-6)
 
 
-def test_from_json():
-    h = CircleHomeo.from_json({"kind": "fourier", "a": [0.1], "b": [0.02]})
-    assert h.gamma(0.0) == pytest.approx(0.0)
-    assert h.gamma(2 * math.pi - 1e-12) == pytest.approx(2 * math.pi, abs=1e-9)
-    with pytest.raises(ValueError):
-        CircleHomeo.from_json({"kind": "splines"})
-
-
 def test_rejects_unnormalized_lift():
     with pytest.raises(ValueError):
         CircleHomeo(gamma=lambda t: np.asarray(t) + 0.5)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qcmap.closed_maps import DiskMapSpec, eval_fc, fc_map, identity_map
+from qcmap.field import DiskConstant
 from qcmap.modulus import (AnnulusSpec, NotSeparatedError, bounding_annuli,
                            certify_bilipschitz, decompose_modulus_gap,
                            default_eta, modulus, modulus_gap_bounds)
+from qcmap.solver import SolverConfig, solve_principal
 
 
 def test_modulus_values():
@@ -36,7 +38,7 @@ def test_bounding_annuli_identity():
     assert ba.R1 == pytest.approx(0.5, abs=1e-14)
     assert ba.rho2 == pytest.approx(3.0, abs=1e-14)
     assert ba.R2 == pytest.approx(3.0, abs=1e-14)
-    assert modulus(ba.D) == pytest.approx(modulus(a), abs=1e-12)
+    assert ba.sandwich()[1] == pytest.approx(modulus(a), abs=1e-12)
     assert modulus(ba.E) == pytest.approx(modulus(a), abs=1e-12)
 
 
@@ -210,6 +212,12 @@ def test_certify_default_r_min_is_raised_to_the_resolution():
     assert rep.verdict and rep.unresolved == 0
     assert min(g.r1 for g in rep.gaps) == pytest.approx(0.1)
     assert rep.to_dict()["unresolved"] == 0
+
+
+def test_certify_takes_the_resolution_from_the_map():
+    gm = solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64))
+    rep = certify_bilipschitz(gm, [0.0, 1.0], bound=2.3, annuli_per_center=4)
+    assert rep.r_min == gm.resolution
 
 
 def test_certify_fails_on_annuli_below_the_resolution():
