@@ -147,6 +147,8 @@ def _cmd_allowable(args):
         beta = args.beta or 0.0
         c_eff, theta0 = unrotate_corner(c, args.alpha, beta)
         mode = "corner"
+    elif args.beta is not None:
+        raise ValueError("--beta needs --alpha (corner mode)")
     else:
         c_eff, theta0, beta, mode = c, args.theta0, None, "sector"
     spec = sector_invariants(c_eff, theta0)
@@ -222,7 +224,7 @@ def _cmd_certify(args):
     t0 = time.perf_counter()
     f, meta = _parse_map(args.map)
     # the floor is read here: a wrapper around f would hide it from the library
-    resolution = f.resolution if meta["kind"] == "gridmap" else 0.0
+    resolution = getattr(f, "resolution", 0.0)
     centers = _parse_centers(args.centers)
     config = {"map": meta, "centers": args.centers, "bound": args.bound,
               "annuli": args.annuli, "circle_samples": args.circle_samples,
@@ -311,13 +313,14 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("allowable", help="sector/corner allowability of c")
-    pa.add_argument("--theta0", type=_finite, default=None,
-                    help="sector opening in radians")
+    mode = pa.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--theta0", type=_finite, default=None,
+                      help="sector opening in radians (sector mode)")
+    mode.add_argument("--alpha", type=_finite, default=None,
+                      help="corner opening as a multiple of pi (corner mode)")
     pa.add_argument("--c", type=_parse_complex, required=True)
-    pa.add_argument("--alpha", type=_finite, default=None,
-                    help="corner opening as a multiple of pi (corner mode)")
     pa.add_argument("--beta", type=_finite, default=None,
-                    help="corner rotation in radians (corner mode)")
+                    help="corner rotation in radians (corner mode, needs --alpha)")
     pa.add_argument("--tol", type=_finite, default=1e-9)
     pa.add_argument("--json", default=None, help="also write the report here")
     pa.set_defaults(func=_cmd_allowable)
@@ -368,11 +371,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "allowable" and args.alpha is None and args.theta0 is None:
-        parser.error("allowable needs --theta0 (sector mode) or --alpha (corner mode)")
-    # malformed fields, files and values all raise ValueError (FieldError,
-    # SupportError and JSONDecodeError among them); unreadable or unwritable
-    # paths raise OSError
+    # malformed fields, files and values all raise ValueError (FieldError and
+    # SupportError among them); unreadable or unwritable paths raise OSError
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

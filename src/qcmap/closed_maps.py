@@ -75,14 +75,14 @@ def eval_fc(spec, z):
 
 
 @pointwise
-def eval_fc_inverse(spec, w, tol=1e-9):
+def eval_fc_inverse(spec, w):
     """Invert the disk map.
 
     Inside the image of the closed unit disk the map is real-linear and the
     inverse is (w - c*conj(w)) / (1 - |c|^2); outside, solve z^2 - w z + c = 0
     and keep the root of modulus > 1. Raises AmbiguousInverseError only if the
-    two branches both claim the point (within ``tol`` of the seam) yet
-    disagree beyond tolerance.
+    two branches both claim the point (within 1e-9 of the seam) yet
+    disagree by more than 1e-6.
     """
     spec = _coerce_spec(spec)
     c = spec.c
@@ -100,7 +100,7 @@ def eval_fc_inverse(spec, w, tol=1e-9):
     out = np.where(use_in, z_in, z_out)
     # the outside branch must land outside; failures can only occur within
     # rounding of the ellipse seam where both branches agree anyway
-    bad = (~use_in) & (np.abs(z_out) < 1.0 - tol)
+    bad = (~use_in) & (np.abs(z_out) < 1.0 - 1e-9)
     if np.any(bad) and np.any(np.abs(z_out[bad] - z_in[bad]) > 1e-6):
         raise AmbiguousInverseError(
             "branch selection ambiguous near the image of the unit circle")

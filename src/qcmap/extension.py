@@ -141,23 +141,19 @@ class ExtensionReport:
     holder_eps_estimate: float
 
 
-def validate_extension(h: CircleHomeo, grid_n=256, seed=0) -> ExtensionReport:
+def validate_extension(h: CircleHomeo) -> ExtensionReport:
     """Scan the extension on a polar grid: injectivity, sup |mu|, Holder fit.
 
     Injectivity of F on each circle reduces to strict monotonicity of the
-    blended angle r gamma(theta) + (1 - r) theta in theta, checked on the
-    grid for a range of radii. The Holder exponent estimate is the slope of a
-    log-log fit of |mu differences| against point distances.
+    blended angle r gamma(theta) + (1 - r) theta on 256 angles. Its steps are
+    affine in r, so they are checked at r = 1/256 and r = 1 only. The Holder
+    exponent estimate is the slope of a log-log fit of |mu differences|
+    against the distances of 4000 point pairs drawn with seed 0.
     """
-    th = np.arange(grid_n) * (_TWO_PI / grid_n)
+    th = np.arange(256) * (_TWO_PI / 256)
     g = np.asarray(h.gamma(th), dtype=float)
-    rs = np.linspace(1.0 / grid_n, 1.0, grid_n)
-    is_homeo = True
-    for r in rs:
-        ang = r * g + (1.0 - r) * th
-        if np.any(np.diff(ang) <= 0):
-            is_homeo = False
-            break
+    is_homeo = not any(np.any(np.diff(r * g + (1.0 - r) * th) <= 0)
+                       for r in (1.0 / 256, 1.0))
 
     r_in = np.linspace(0.05, 0.95, 64)
     pts = (r_in[:, None] * np.exp(1j * th[None, :])).ravel()
@@ -166,7 +162,7 @@ def validate_extension(h: CircleHomeo, grid_n=256, seed=0) -> ExtensionReport:
         mu = mu_F(h, pts)
     sup_mu = float(np.abs(mu).max())
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     i = rng.integers(0, pts.size, size=4000)
     j = rng.integers(0, pts.size, size=4000)
     keep = i != j

@@ -213,7 +213,6 @@ class HolderGrid:
         ok = in_box & (wsum > 0)
         out = np.zeros(zz.shape, dtype=complex)
         np.divide(val, wsum, out=out, where=ok)
-        out[~ok] = 0.0
         return out, ok
 
     @pointwise
@@ -269,8 +268,8 @@ class Composite:
         return out
 
 
-def _supports_overlap(a, b, grid=96):
-    """Sampled disjointness test on the intersection of bounding boxes."""
+def _supports_overlap(a, b):
+    """Sampled disjointness test on a 96x96 grid over the bounding boxes' overlap."""
     ax0, ay0, ax1, ay1 = a.bounding_box()
     bx0, by0, bx1, by1 = b.bounding_box()
     x0, x1 = max(ax0, bx0), min(ax1, bx1)
@@ -280,8 +279,8 @@ def _supports_overlap(a, b, grid=96):
     if not (math.isfinite(x0) and math.isfinite(x1)
             and math.isfinite(y0) and math.isfinite(y1)):
         raise FieldError("cannot test disjointness of two unbounded supports")
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
+    xs = np.linspace(x0, x1, 96)
+    ys = np.linspace(y0, y1, 96)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     return bool(np.any(a.support_contains(Z) & b.support_contains(Z)))
@@ -365,22 +364,23 @@ def _pair(obj):
 
 
 def field_from_json(spec, base_dir=None):
-    """Build a field from its JSON description (dict, JSON text, or path).
+    """Build a field from a spec dict, or from the path of a JSON spec file.
 
-    A missing key, a value of the wrong type or form, or a malformed
-    ``data_file`` raises FieldError.
+    Relative paths in a spec (``data_file``, composite members) are read
+    against ``base_dir``, for a spec file its directory. A missing key, a key
+    the kind does not read, a bad value or a malformed file raises FieldError.
     """
     if isinstance(spec, (str, Path)):
-        p = Path(spec)
-        if p.suffix == ".json" or p.exists():
-            base_dir = p.parent
-            spec = json.loads(p.read_text())
-        else:
-            spec = json.loads(spec)
+        path = Path(base_dir or ".", spec)  # an absolute spec ignores base_dir
+        base_dir = path.parent
+        try:
+            spec = json.loads(path.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FieldError(f"{path} is not a JSON file: {exc}") from None
     if not isinstance(spec, dict):
         raise FieldError("field spec must be a JSON object")
     try:
-        return _field_from_dict(spec, base_dir)
+        return _field_from_dict(dict(spec), base_dir)
     except FieldError:
         raise
     except KeyError as exc:
@@ -390,30 +390,34 @@ def field_from_json(spec, base_dir=None):
 
 
 def _field_from_dict(spec, base_dir):
-    kind = spec.get("kind")
+    """The field of ``spec``, whose keys are popped as they are read."""
+    kind = spec.pop("kind", None)
     if kind == "disk_constant":
-        return DiskConstant(c=_pair(spec["c"]),
-                            center=_pair(spec.get("center", [0, 0])),
-                            radius=float(spec.get("radius", 1.0)))
-    if kind == "sector_constant":
-        return SectorConstant(c=_pair(spec["c"]),
-                              theta0=float(spec["theta0"]),
-                              beta=float(spec.get("beta", 0.0)),
-                              radius=float(spec.get("radius", math.inf)))
-    if kind == "holder_grid":
-        data_file = Path(spec["data_file"])
-        if base_dir is not None and not data_file.is_absolute():
-            data_file = Path(base_dir) / data_file
+        field = DiskConstant(c=_pair(spec.pop("c")),
+                             center=_pair(spec.pop("center", [0, 0])),
+                             radius=float(spec.pop("radius", 1.0)))
+    elif kind == "sector_constant":
+        field = SectorConstant(c=_pair(spec.pop("c")),
+                               theta0=float(spec.pop("theta0")),
+                               beta=float(spec.pop("beta", 0.0)),
+                               radius=float(spec.pop("radius", math.inf)))
+    elif kind == "holder_grid":
+        data_file = Path(base_dir or ".", spec.pop("data_file"))
         samples = read_grid_samples(data_file)
-        nx, ny = (int(v) for v in spec["n"])
+        nx, ny = (int(v) for v in spec.pop("n"))
         if samples.shape != (ny, nx):
             raise FieldError(
                 f"dims in {data_file} are {samples.shape[::-1]}, JSON says {(nx, ny)}")
-        xmin, ymin, xmax, ymax = (float(v) for v in spec["bbox"])
-        return HolderGrid(samples=samples, bbox=(xmin, ymin, xmax, ymax),
-                          epsilon=float(spec["epsilon"]),
-                          holder_c=float(spec["holder_c"]))
-    if kind == "composite":
-        return Composite(tuple(field_from_json(m, base_dir)
-                               for m in spec["members"]))
-    raise FieldError(f"unknown field kind {kind!r}")
+        field = HolderGrid(samples=samples, bbox=spec.pop("bbox"),
+                           epsilon=float(spec.pop("epsilon")),
+                           holder_c=float(spec.pop("holder_c")))
+    elif kind == "composite":
+        members = spec.pop("members")
+        if not isinstance(members, (list, tuple)):
+            raise FieldError("composite members must be a list")
+        field = Composite(tuple(field_from_json(m, base_dir) for m in members))
+    else:
+        raise FieldError(f"unknown field kind {kind!r}")
+    if spec:
+        raise FieldError(f"{kind!r} field spec has unknown keys {sorted(spec)}")
+    return field

@@ -211,8 +211,7 @@ def _diameter(pts):
 
 
 def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
-                        circle_samples=1024, r_min=None, r_max=None,
-                        max_pairs=4000, seed=0,
+                        circle_samples=1024, r_min=None, r_max=None, seed=0,
                         resolution=None) -> CertificateReport:
     """Certify bounded modulus distortion of f over annuli centered in test_set.
 
@@ -233,9 +232,13 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     raised to it; annuli with a smaller inner radius are not tested, are
     counted in ``unresolved`` and fail the verdict.
 
-    Lipschitz ratios |f(x) - f(y)| / |x - y| over pairs of test points are
-    reported as corroborating diagnostics; they are not the criterion.
+    Lipschitz ratios |f(x) - f(y)| / |x - y| over at most 4000 pairs of test
+    points are reported as corroborating diagnostics; they are not the
+    criterion. A non-finite ``bound`` raises ValueError.
     """
+    bound = float(bound)
+    if not math.isfinite(bound):
+        raise ValueError(f"bound must be finite, got {bound}")
     if resolution is None:
         resolution = getattr(f, "resolution", 0.0)
     pts = np.asarray(list(test_set), dtype=complex).ravel()
@@ -283,8 +286,8 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
 
     rng = np.random.default_rng(seed)
     ii, jj = np.triu_indices(pts.size, k=1)
-    if ii.size > max_pairs:
-        keep = rng.choice(ii.size, size=max_pairs, replace=False)
+    if ii.size > 4000:
+        keep = rng.choice(ii.size, size=4000, replace=False)
         ii, jj = ii[keep], jj[keep]
     if ii.size:
         fz = np.asarray(f(pts))
@@ -295,32 +298,31 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
 
     sup_gap = max((r.gap for r in records), default=math.nan)
     return CertificateReport(
-        bound=float(bound), annuli_tested=len(records), skipped=skipped,
+        bound=bound, annuli_tested=len(records), skipped=skipped,
         gaps=records, sup_gap=sup_gap,
         lipschitz_min=lip_min, lipschitz_max=lip_max, lipschitz_pairs=int(ii.size),
-        verdict=not (nonfinite or unresolved) and sup_gap <= float(bound),
+        verdict=not (nonfinite or unresolved) and sup_gap <= bound,
         mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite,
         unresolved=unresolved, r_min=float(r_min), r_max=float(r_max))
 
 
-def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec,
-                          circle_samples=1024):
+def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec):
     """Split the modulus gap of f over A through the comparison map f_c.
 
     With g = f composed with the inverse of f_c, and E the inner bounding
     annulus of f_c(A), returns the triangle pieces
     t1 = |est M(f(A)) - est M(g(E))|, t2 = |est M(g(E)) - M(E)|,
-    t3 = |M(E) - M(A)|, where each image modulus estimate is the midpoint of
-    its sandwich. Their sum dominates the certified gap up to sandwich slack.
+    t3 = |M(E) - M(A)|, each image modulus estimate the midpoint of its
+    sandwich (1024 samples per circle). Their sum dominates the certified gap
+    up to sandwich slack.
     """
-    ba_fc = bounding_annuli(fc_map(fc_spec), a, circle_samples)
-    e_ann = ba_fc.E  # raises NotSeparatedError when not separated
+    e_ann = bounding_annuli(fc_map(fc_spec), a).E  # raises NotSeparatedError
 
     def g(w):
         return np.asarray(f(eval_fc_inverse(fc_spec, w)))
 
-    est_f = 0.5 * sum(bounding_annuli(f, a, circle_samples).sandwich())
-    est_g = 0.5 * sum(bounding_annuli(g, e_ann, circle_samples).sandwich())
+    est_f = 0.5 * sum(bounding_annuli(f, a).sandwich())
+    est_g = 0.5 * sum(bounding_annuli(g, e_ann).sandwich())
     me = modulus(e_ann)
     t1 = abs(est_f - est_g)
     t2 = abs(est_g - me)

@@ -71,8 +71,8 @@ class SolverConfig:
             raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
         if not 2.0 <= self.pad_factor < math.inf:
             raise ValueError("pad_factor must be finite and >= 2")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -357,9 +357,7 @@ def eval_gridmap(gm: GridMap, z):
     zo = z[~inside]
     if zo.size:
         zc = complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-        d = zo - zc
-        d = np.where(d == 0, 1.0, d)
-        out[~inside] = zo + gm.tail / d
+        out[~inside] = zo + gm.tail / (zo - zc)
     return out
 
 

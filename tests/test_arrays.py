@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qcmap import closed_maps, extension, field, solver
 from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
                          SectorConstant, read_grid_samples, write_grid_samples)
+from qcmap.modulus import certify_bilipschitz
 from qcmap.solver import GridMap
 
 
@@ -158,8 +159,12 @@ _NAN = float("nan")
     lambda: closed_maps.fangle_map(complex(0.3, _NAN), 1.0),
     lambda: closed_maps.compose_dilatation(0.2, complex(_NAN), 0.0),
     lambda: solver.SolverConfig(grid_n=64, pad_factor=_NAN),
+    lambda: solver.SolverConfig(grid_n=64, tol=math.inf),
+    lambda: certify_bilipschitz(closed_maps.fc_map(0.9), [0, 1], bound=math.inf),
+    lambda: certify_bilipschitz(closed_maps.fc_map(0.9), [0, 1], bound=_NAN),
 ], ids=["sector_invariants", "is_allowable_sector", "fangle_map",
-        "compose_dilatation", "SolverConfig"])
+        "compose_dilatation", "SolverConfig", "SolverConfig_tol_inf",
+        "certify_bound_inf", "certify_bound_nan"])
 def test_nan_inputs_are_rejected_where_they_enter(build):
     with pytest.raises(ValueError):
         build()

@@ -528,11 +528,27 @@ def test_fangle_ray_renders_as_log_spiral(capsys):
      "--bound", "1", "--r-min", "0.01", "--r-max", "1"],
     ["certify", "--map", "builtin:identity", "--centers", "0,0;1,0",
      "--bound", "inf"],
-    ["solve", "--field", '{"kind": "disk_constant", "c": [0.5, 0]}',
-     "--grid-n", "64", "--pad-factor", "nan"],
+    ["solve", "--field", "{tmp}/field.json", "--grid-n", "64",
+     "--pad-factor", "nan"],
+    ["allowable", "--theta0", "1", "--alpha", "0.5", "--c", "0.3,0"],
+    ["allowable", "--theta0", "1", "--beta", "0.7", "--c", "0.3,0"],
+    ["allowable", "--c", "0.3,0"],
+    ["certify", "--map", "builtin:identity", "--centers", "grid:3",
+     "--bound", "1"],
+    ["certify", "--map", "builtin:identity", "--centers", "grid:0:1",
+     "--bound", "1"],
+    ["certify", "--map", "builtin:identity", "--centers", ";", "--bound", "1"],
+    ["certify", "--map", "builtin:fangle:0.5,0", "--centers", "0,0;1,0",
+     "--bound", "1"],
+    ["certify", "--map", "builtin:nope", "--centers", "0,0;1,0",
+     "--bound", "1"],
 ], ids=["c", "beta", "fangle_c", "fc_c", "center", "nan_center", "bound",
-        "pad_factor"])
+        "pad_factor", "theta0-and-alpha", "beta-without-alpha", "no-mode",
+        "grid-no-width", "grid-zero", "no-centers", "fangle-no-theta0",
+        "unknown-builtin"])
 def test_nonfinite_or_malformed_number_exits_two(tmp_path, capsys, argv):
+    _write_field(tmp_path, {"kind": "disk_constant", "c": [0.5, 0]})
+    argv = [a.format(tmp=tmp_path) for a in argv]
     if argv[0] in ("render", "solve"):
         argv = argv + ["--out", str(tmp_path / "out")]
     try:
@@ -543,3 +559,13 @@ def test_nonfinite_or_malformed_number_exits_two(tmp_path, capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_solve_missing_field_file_names_it(tmp_path, capsys):
+    missing = tmp_path / "missing_field"
+    rc = main(["solve", "--field", str(missing), "--grid-n", "64",
+               "--out", str(tmp_path / "m.qcmap")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert str(missing) in captured.err

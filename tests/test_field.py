@@ -220,3 +220,49 @@ def test_field_from_json_composite():
 def test_field_from_json_unknown_kind():
     with pytest.raises(FieldError):
         field_from_json({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "disk_constant", "c": [0.5, 0], "radus": 2}, "radus"),
+    ({"kind": "sector_constant", "c": [0.5, 0], "theta0": 1.0, "betta": 0.1},
+     "betta"),
+    ({"kind": "composite", "members": [
+        {"kind": "disk_constant", "c": [0.5, 0], "centre": [1, 0]}]}, "centre"),
+], ids=["disk", "sector", "composite-member"])
+def test_field_from_json_rejects_unknown_keys(spec, key):
+    with pytest.raises(FieldError, match=key):
+        field_from_json(spec)
+
+
+def test_composite_member_paths_are_relative_to_the_spec(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "m1.json").write_text(json.dumps(
+        {"kind": "disk_constant", "c": [0.2, 0], "center": [-2, 0], "radius": 0.5}))
+    (sub / "comp.json").write_text(json.dumps({"kind": "composite", "members": [
+        "m1.json",
+        {"kind": "disk_constant", "c": [0, 0.2], "center": [2, 0], "radius": 0.5}]}))
+    for cwd in (tmp_path, sub):
+        monkeypatch.chdir(cwd)
+        comp = field_from_json(sub / "comp.json")
+        assert comp.evaluate(-2.0) == 0.2 and comp.evaluate(2.0) == 0.2j
+    monkeypatch.chdir(tmp_path)
+    assert field_from_json("sub/comp.json").evaluate(-2.0) == 0.2
+
+
+def test_field_from_json_reads_a_string_as_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        field_from_json('{"kind": "disk_constant", "c": [0.5, 0]}')
+
+
+def test_field_from_json_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text("{not json")
+    with pytest.raises(FieldError, match="field.json"):
+        field_from_json(path)
+
+
+def test_composite_members_must_be_a_list():
+    with pytest.raises(FieldError, match="list"):
+        field_from_json({"kind": "composite", "members": "m1.json"})
