@@ -8,7 +8,7 @@ sup |mu|. The field is sampled, and h iterated, only on the window of cells
 that meet the support square; each sweep applies the n-by-n periodic S to
 that window as a cyclic convolution on an M-by-M grid, M about twice the
 window width: a forward FFT whose first pass runs on the window's rows
-only, a multiply by the cached kernel FFT, and an inverse FFT.
+only, a multiply by the cached kernel FFT, and a window-pruned inverse FFT.
 
 The final Cauchy step is done as a free-space convolution with the exactly
 integrated per-cell kernel on a zero-padded grid rather than with the
@@ -127,25 +127,29 @@ def _warn_if_periodized(g, ny, nx):
                           RuntimeWarning, stacklevel=3)
 
 
+def _ifft2_lines(spec, rows, cols):
+    """ifft2(spec)[rows][:, cols] bit for bit, overwriting spec: ifft2 runs
+    the same 1-D passes, last axis first, so pruning the columns after the
+    first pass and the rows after the second changes no bit."""
+    return np.fft.ifft(np.fft.ifft(spec, axis=1, out=spec)[:, cols],
+                       axis=0)[rows]
+
+
 def _s_kernel(my, mx, aspect, period):
     """Torus S kernel at the offsets -(m // 2) ... m - m // 2 - 1 per axis.
 
     The kernel is ifft2 of conj(xi) / xi with the zero frequency set to 0 on
-    the ``period`` torus, read at those offsets mod the period. conj(xi) / xi depends only on the
-    cell aspect ratio dy/dx, not on the spacing.
+    the ``period`` torus, read at those offsets mod the period; conj(xi) / xi
+    depends only on the cell aspect ratio dy/dx, not on the spacing.
     """
     ny, nx = period
     kx = np.fft.fftfreq(nx)
     ky = np.fft.fftfreq(ny, d=aspect)
     zeta = kx[None, :] + 1j * ky[:, None]
-    mult = np.zeros_like(zeta)
-    nzero = zeta != 0
-    mult[nzero] = np.conj(zeta[nzero]) / zeta[nzero]
-    del zeta, nzero
-    kernel = np.fft.ifft2(mult)
-    del mult
-    return kernel[np.ix_(np.arange(-(my // 2), my - my // 2) % ny,
-                         np.arange(-(mx // 2), mx - mx // 2) % nx)]
+    mult = np.divide(np.conj(zeta), zeta, out=np.zeros_like(zeta),
+                     where=zeta != 0)
+    return _ifft2_lines(mult, np.arange(-(my // 2), my - my // 2) % ny,
+                        np.arange(-(mx // 2), mx - mx // 2) % nx)
 
 
 def _cauchy_kernel(my, mx, aspect):
@@ -203,10 +207,10 @@ def singular_transform(g, spacing=(1.0, 1.0), period=None):
 
     This is the two-dimensional Hilbert-type transform taking dbar h to d h:
     forward FFT, multiply by conj(xi)/xi with the zero frequency set to 0,
-    inverse FFT. The multiplier is unimodular away from the origin, so grid
-    L2 norms of mean-zero inputs are preserved. Accuracy degrades when the
-    input support reaches the grid boundary; inputs with more than 1% of
-    their energy in the outer eighth of the grid trigger a warning.
+    inverse FFT of only the lines read back. The multiplier is unimodular off
+    the origin, so grid L2 norms of mean-zero inputs are kept. Accuracy
+    degrades when the input support reaches the grid boundary; inputs with more
+    than 1% of their energy in the outer eighth of the grid trigger a warning.
 
     With ``period`` = (ny, nx), g is a window of an ny-by-nx grid that is
     zero outside it, and the result is the ny-by-nx transform read back on
@@ -229,14 +233,14 @@ def singular_transform(g, spacing=(1.0, 1.0), period=None):
     mx = min(nx, _next_5_smooth(2 * wx - 1))
     spec = np.fft.fft2(g, s=(my, mx))
     spec *= _kernel_hat(my, mx, dy / dx, period=(ny, nx))
-    return np.fft.ifft2(spec)[:wy, :wx]
+    return _ifft2_lines(spec, slice(wy), slice(wx))
 
 
 def cauchy_transform(g, spacing, border=0):
     """Free-space Cauchy transform of grid data: solves dbar P = g, P -> 0.
 
     Treats g as constant per cell and convolves with the exactly integrated
-    Cauchy kernel of one cell via zero-padded FFTs, so there is no
+    Cauchy kernel of one cell via pruned zero-padded FFTs, so there is no
     periodization error and the 1/z tail is reproduced to the accuracy of the
     piecewise-constant density. The kernel of a dx-by-dy cell is dx times the
     kernel of a 1-by-(dy/dx) cell at offsets scaled by 1/dx (the log dx terms
@@ -251,7 +255,7 @@ def cauchy_transform(g, spacing, border=0):
     spec = np.fft.fft2(g, s=[_next_5_smooth(2 * (m + border)) for m in g.shape])
     spec *= _kernel_hat(*spec.shape, dy / dx, shift=border)
     spec *= dx
-    return np.fft.ifft2(spec)[:wy + 2 * border, :wx + 2 * border]
+    return _ifft2_lines(spec, slice(wy + 2 * border), slice(wx + 2 * border))
 
 
 @dataclass(eq=False)
@@ -425,8 +429,6 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about
     x = mu_win
-    residual = math.inf
-    iterations = 0
     history = []
     for iterations in range(1, cfg.max_iter + 1):
         nxt = mu_win * singular_transform(x, spacing=(h, h), period=n) + mu_win
@@ -476,7 +478,5 @@ def finite_difference_mu(gm: GridMap):
     dz = 0.5 * (dvx - 1j * dvy)
     dzbar = 0.5 * (dvx + 1j * dvy)
     ok = np.abs(dz) > 1e-8
-    inner = np.full(dz.shape, np.nan + 0j, dtype=complex)
-    np.divide(dzbar, dz, out=inner, where=ok)
-    out[1:-1, 1:-1] = inner
+    np.divide(dzbar, dz, out=out[1:-1, 1:-1], where=ok)
     return out

@@ -173,17 +173,19 @@ def test_windowed_cauchy_transform_on_odd_fft_grid():
 
 
 def test_warm_solve_memory_peak():
-    # a solve holds its support window, the Cauchy step's FFT grids and the
-    # n-by-n result, but no n-by-n density and no 2n-by-2n padding
-    mu, cfg = DiskConstant(c=0.5), SolverConfig(grid_n=256)
-    solve_principal(mu, cfg)  # fills the kernel caches
-    tracemalloc.start()
-    try:
-        solve_principal(mu, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    # a solve holds its support window, the Cauchy step's spectrum, its
+    # inverse's second pass on the result's columns only and the n-by-n
+    # result, but no n-by-n density and no 2n-by-2n padding
+    for n, mib in ((256, 5), (512, 20)):
+        mu, cfg = DiskConstant(c=0.5), SolverConfig(grid_n=n)
+        solve_principal(mu, cfg)  # fills the kernel caches
+        tracemalloc.start()
+        try:
+            solve_principal(mu, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, n
 
 
 def test_transform_caches_match_fresh_calls():
@@ -249,6 +251,44 @@ def test_windowed_transform_equals_torus_transform(period, shape, spacing):
     out = singular_transform(w, spacing=spacing, period=period)
     assert out.shape == shape
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("period, shape, spacing", [
+    ((64, 64), (17, 23), (1.0, 1.0)),
+    ((64, 64), (40, 9), (1.0, 1.0)),
+    ((64, 64), (40, 40), (0.1, 0.1)),
+    ((64, 96), (20, 31), (0.1, 0.25)),
+    ((256, 256), (66, 66), (1.0, 1.0)),
+])
+def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, spacing):
+    # each transform inverts only the lines it reads back; that must change
+    # no bit of the full inverse FFT read back on the same lines
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    (wy, wx), (ny, nx), (dx, dy) = shape, period, spacing
+    aspect = dy / dx
+
+    my, mx = (min(p, solver._next_5_smooth(2 * b - 1))
+              for p, b in zip(period, shape))
+    khat = solver._kernel_hat(my, mx, aspect, period=period)
+    ref = np.fft.ifft2(np.fft.fft2(w, s=(my, mx)) * khat)[:wy, :wx]
+    assert np.array_equal(singular_transform(w, spacing, period), ref)
+
+    border = 3
+    M = [solver._next_5_smooth(2 * (b + border)) for b in shape]
+    khat = solver._kernel_hat(*M, aspect, shift=border)
+    ref = np.fft.ifft2(np.fft.fft2(w, s=M) * khat * dx)
+    ref = ref[:wy + 2 * border, :wx + 2 * border]
+    assert np.array_equal(cauchy_transform(w, spacing, border), ref)
+
+    zeta = (np.fft.fftfreq(nx)[None, :]
+            + 1j * np.fft.fftfreq(ny, d=aspect)[:, None])
+    mult = np.zeros_like(zeta)
+    mult[zeta != 0] = np.conj(zeta[zeta != 0]) / zeta[zeta != 0]
+    rows = np.arange(-(my // 2), my - my // 2) % ny
+    cols = np.arange(-(mx // 2), mx - mx // 2) % nx
+    ref = np.fft.ifft2(mult)[np.ix_(rows, cols)]
+    assert np.array_equal(solver._s_kernel(my, mx, aspect, period), ref)
 
 
 def test_windowed_transform_rejects_window_beyond_period():
