@@ -143,8 +143,9 @@ class HolderGrid:
             raise FieldError("samples must be finite")
         object.__setattr__(self, "samples", samples)
         xmin, ymin, xmax, ymax = (float(v) for v in self.bbox)
-        if not (xmin < xmax and ymin < ymax):
-            raise FieldError(f"degenerate bbox {self.bbox}")
+        if not (-math.inf < xmin < xmax < math.inf
+                and -math.inf < ymin < ymax < math.inf):
+            raise FieldError(f"bbox must be finite and ordered, got {self.bbox}")
         object.__setattr__(self, "bbox", (xmin, ymin, xmax, ymax))
         if not (0.0 < self.epsilon <= 1.0):
             raise FieldError(f"epsilon must lie in (0, 1], got {self.epsilon}")

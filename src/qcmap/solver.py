@@ -18,13 +18,15 @@ dominate the oracle error budget, while the cell kernel reproduces the decay
 P -> 0 at infinity and the 1/z far-field tail automatically. It is the same
 convolution as a sweep's, with the kernel placed to shift the result by the
 window's offset in the grid, so it maps h on the window to P on the grid
-(M = 324 at n=256, 648 at n=512 with pad_factor 4).
+(M = 324 at n=256, 648 at n=512 with pad_factor 4). No n-by-n coordinate
+grid is built: a warm solve's tracemalloc peak is 3.0, 12.0 and 47.9 MiB
+at n=256, 512 and 1024.
 
-One bounded cache lives for the life of the process: the FFT of each
-kernel, kept per (FFT grid shape, cell aspect ratio, S period or none,
-shift), up to 4 entries, 2 per grid size. Both kernels are taken in unit
-cell width: conj(xi)/xi is scale-invariant, and the Cauchy kernel of a
-dx-wide cell is dx times that of a unit one, so every spacing of one grid
+The cells are square. One bounded cache lives for the life of the
+process: the FFT of each kernel, kept per (FFT grid shape, S period or
+none, shift), up to 4 entries, 2 per grid size. Both kernels are taken on
+a unit cell: conj(xi)/xi is scale-invariant, and the Cauchy kernel of a
+cell is its side times that of a unit one, so every cell side of one grid
 shares them. An entry is M^2 complex values: 1.2 MB for S and 6.7 MB for
 the Cauchy step at n=512 with pad_factor 4, 27 MB for the Cauchy step at
 n=1024. Building the S entry costs one n-by-n inverse FFT, the Cauchy one
@@ -135,29 +137,27 @@ def _ifft2_lines(spec, rows, cols):
                        axis=0)[rows]
 
 
-def _s_kernel(my, mx, aspect, period):
+def _s_kernel(my, mx, period):
     """Torus S kernel at the offsets -(m // 2) ... m - m // 2 - 1 per axis.
 
     The kernel is ifft2 of conj(xi) / xi with the zero frequency set to 0 on
-    the ``period`` torus, read at those offsets mod the period; conj(xi) / xi
-    depends only on the cell aspect ratio dy/dx, not on the spacing.
+    the ``period`` torus, read at those offsets mod the period; on square
+    cells conj(xi) / xi does not depend on the cell side.
     """
     ny, nx = period
-    kx = np.fft.fftfreq(nx)
-    ky = np.fft.fftfreq(ny, d=aspect)
-    zeta = kx[None, :] + 1j * ky[:, None]
+    zeta = np.fft.fftfreq(nx)[None, :] + 1j * np.fft.fftfreq(ny)[:, None]
     mult = np.divide(np.conj(zeta), zeta, out=np.zeros_like(zeta),
                      where=zeta != 0)
     return _ifft2_lines(mult, np.arange(-(my // 2), my - my // 2) % ny,
                         np.arange(-(mx // 2), mx - mx // 2) % nx)
 
 
-def _cauchy_kernel(my, mx, aspect):
-    """Exactly integrated Cauchy kernel of a 1-by-aspect cell.
+def _cauchy_kernel(my, mx):
+    """Exactly integrated Cauchy kernel of a unit square cell.
 
     Entry [ky + my // 2, kx + mx // 2] is (1/pi) times the integral of
     dA(v) / (u - v) over the cell centered at 0, evaluated at the offset
-    u = kx + i aspect ky, for -(m // 2) <= k < m - m // 2 per axis. The
+    u = kx + i ky, for -(m // 2) <= k < m - m // 2 per axis. The
     closed form is the four-corner difference of G(s) = s (log s - 1), and
     every cell corner lies on one half-integer lattice, so G is evaluated
     once per lattice point. The principal branch needs a correction on the
@@ -166,7 +166,7 @@ def _cauchy_kernel(my, mx, aspect):
     """
     ny, nx = my // 2, mx // 2
     a = np.arange(mx + 1) - (nx + 0.5)
-    b = aspect * (np.arange(my + 1) - (ny + 0.5))
+    b = np.arange(my + 1) - (ny + 0.5)
     G = a[None, :] + 1j * b[:, None]
     G *= np.log(G) - 1.0
     K = G[:-1, 1:] - G[:-1, :-1]
@@ -181,20 +181,20 @@ def _cauchy_kernel(my, mx, aspect):
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel_hat(my, mx, aspect, period=None, shift=0):
+def _kernel_hat(my, mx, period=None, shift=0):
     """FFT of a convolution kernel on an my-by-mx cyclic grid; read-only.
 
     The kernel is the torus S of ``period`` or, without one, the Cauchy
-    kernel of a 1-by-aspect cell, taken at the offsets -(m // 2) ... m -
+    kernel of a unit square cell, taken at the offsets -(m // 2) ... m -
     m // 2 - 1 per axis and placed so that offset d sits at index
     (d + shift) mod m. Multiplying it into the FFT of data placed at the
     grid's origin convolves the data with the kernel and moves the result
     ``shift`` cells along each axis.
     """
     if period is None:
-        K = _cauchy_kernel(my, mx, aspect)
+        K = _cauchy_kernel(my, mx)
     else:
-        K = _s_kernel(my, mx, aspect, period)
+        K = _s_kernel(my, mx, period)
     K = np.roll(K, (shift - my // 2, shift - mx // 2), axis=(0, 1))
     khat = np.fft.fft2(K)
     del K
@@ -202,7 +202,7 @@ def _kernel_hat(my, mx, aspect, period=None, shift=0):
     return khat
 
 
-def singular_transform(g, spacing=(1.0, 1.0), period=None):
+def singular_transform(g, period=None):
     """Apply the plane singular integral with multiplier conj(xi) / xi.
 
     This is the two-dimensional Hilbert-type transform taking dbar h to d h:
@@ -227,34 +227,32 @@ def singular_transform(g, spacing=(1.0, 1.0), period=None):
     ny, nx = g.shape if period is None else period
     if wy > ny or wx > nx:
         raise ValueError(f"window {g.shape} exceeds its period {(ny, nx)}")
-    dx, dy = spacing
     _warn_if_periodized(g, ny, nx)
     my = min(ny, _next_5_smooth(2 * wy - 1))
     mx = min(nx, _next_5_smooth(2 * wx - 1))
     spec = np.fft.fft2(g, s=(my, mx))
-    spec *= _kernel_hat(my, mx, dy / dx, period=(ny, nx))
+    spec *= _kernel_hat(my, mx, period=(ny, nx))
     return _ifft2_lines(spec, slice(wy), slice(wx))
 
 
-def cauchy_transform(g, spacing, border=0):
+def cauchy_transform(g, h, border=0):
     """Free-space Cauchy transform of grid data: solves dbar P = g, P -> 0.
 
-    Treats g as constant per cell and convolves with the exactly integrated
-    Cauchy kernel of one cell via pruned zero-padded FFTs, so there is no
-    periodization error and the 1/z tail is reproduced to the accuracy of the
-    piecewise-constant density. The kernel of a dx-by-dy cell is dx times the
-    kernel of a 1-by-(dy/dx) cell at offsets scaled by 1/dx (the log dx terms
-    cancel in the four-corner sum), so its FFT is cached per FFT shape and
-    aspect ratio. P is returned on g's grid grown by ``border`` zero cells per
+    Treats g as constant per square cell of side h and convolves with the
+    exactly integrated Cauchy kernel of one cell via pruned zero-padded FFTs,
+    so there is no periodization error and the 1/z tail is reproduced to the
+    accuracy of the piecewise-constant density. The kernel of a cell of side
+    h is h times the kernel of a unit cell at offsets scaled by 1/h (the
+    log h terms cancel in the four-corner sum), so its FFT is cached per FFT
+    shape. P is returned on g's grid grown by ``border`` zero cells per
     side; no offset wraps around the cyclic grid of the smallest 5-smooth
     size of at least 2 (size + border) cells per axis (2n for n = 2^k).
     """
     g = np.asarray(g, dtype=complex)
     wy, wx = g.shape
-    dx, dy = spacing
     spec = np.fft.fft2(g, s=[_next_5_smooth(2 * (m + border)) for m in g.shape])
-    spec *= _kernel_hat(*spec.shape, dy / dx, shift=border)
-    spec *= dx
+    spec *= _kernel_hat(*spec.shape, shift=border)
+    spec *= h
     return _ifft2_lines(spec, slice(wy + 2 * border), slice(wx + 2 * border))
 
 
@@ -284,8 +282,8 @@ class GridMap:
             raise ValueError("values must be 2D")
         if min(self.values.shape) < 2:
             raise ValueError(f"need at least 2x2 samples, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("map samples must be finite")
+        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.tail)):
+            raise ValueError("map samples and tail must be finite")
         self.bbox = tuple(float(v) for v in self.bbox)
         if len(self.bbox) != 4 or not all(map(math.isfinite, self.bbox)):
             raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox}")
@@ -365,21 +363,21 @@ def eval_gridmap(gm: GridMap, z):
     return out
 
 
-def _sample_mu(mu, Z, hx, hy):
+def _sample_mu(mu, Z, h):
     """Cell averages of 3-by-3 field samples; averaging keeps sup |mu| < 1.
 
-    Z holds the cell centers and hx, hy the cell sides.
+    Z holds the centers of square cells of side h.
     """
     offs = (np.arange(3) + 0.5) / 3 - 0.5
     acc = np.zeros(Z.shape, dtype=complex)
     for oy in offs:
         for ox in offs:
-            acc += mu.evaluate(Z + ox * hx + 1j * oy * hy)
+            acc += mu.evaluate(Z + ox * h + 1j * oy * h)
     return acc / 9
 
 
 def _support_window(grid_n, pad_factor):
-    """Square window (row, column slices) of the cells that meet [-r, r]^2.
+    """The slice of rows, and of columns, of the cells that meet [-r, r]^2.
 
     The box of solve_principal is [-L, L]^2 with L = pad_factor * r, so in
     cell widths the square starts (L - r) / h = grid_n (pad_factor - 1) /
@@ -389,8 +387,7 @@ def _support_window(grid_n, pad_factor):
     supported in |z| <= r samples to zero there.
     """
     first = math.ceil(grid_n * (pad_factor - 1) / (2 * pad_factor)) - 1
-    cells = slice(first, grid_n - first)
-    return cells, cells
+    return slice(first, grid_n - first)
 
 
 def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
@@ -418,12 +415,12 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
             f"field support radius {rad} is not usable; truncate the field")
     t0 = time.perf_counter()
     L = cfg.pad_factor * rad
-    bbox = (-L, -L, L, L)
-    n = (cfg.grid_n, cfg.grid_n)
-    xs, ys, Z = grid_coordinates(bbox, n)
-    h = 2 * L / cfg.grid_n
-    window = _support_window(cfg.grid_n, cfg.pad_factor)
-    mu_win = _sample_mu(mu, Z[window], xs[1] - xs[0], ys[1] - ys[0])
+    n = cfg.grid_n
+    h = 2 * L / n
+    xs = -L + (np.arange(n) + 0.5) * h
+    w = _support_window(n, cfg.pad_factor)
+    # the step of xs itself, which can differ from h in the last bit
+    mu_win = _sample_mu(mu, xs[None, w] + 1j * xs[w, None], xs[1] - xs[0])
     t1 = time.perf_counter()
 
     # supports are confined to the central 1/pad_factor by construction, so
@@ -431,7 +428,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     x = mu_win
     history = []
     for iterations in range(1, cfg.max_iter + 1):
-        nxt = mu_win * singular_transform(x, spacing=(h, h), period=n) + mu_win
+        nxt = mu_win * singular_transform(x, period=(n, n)) + mu_win
         residual = float(np.abs(nxt - x).max(initial=0.0))
         history.append(residual)
         x = nxt
@@ -444,13 +441,15 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
             residual=residual, iterations=cfg.max_iter)
     t2 = time.perf_counter()
 
-    P = cauchy_transform(x, spacing=(h, h), border=window[0].start)
+    # + copies P out of the taller FFT buffer, so the map does not pin it
+    P = cauchy_transform(x, h, border=w.start) + xs[None, :]
+    P += 1j * xs[:, None]
     tail = complex(x.sum() * h * h / math.pi)
     t3 = time.perf_counter()
     rate = None
     if len(history) > 1 and history[0] > 0:
         rate = (history[-1] / history[0]) ** (1.0 / (len(history) - 1))
-    return GridMap(bbox=bbox, values=Z + P, tail=tail,
+    return GridMap(bbox=(-L, -L, L, L), values=P, tail=tail,
                    iterations=iterations, final_residual=residual,
                    residual_history=tuple(history),
                    timings_ms={"sample": 1e3 * (t1 - t0),

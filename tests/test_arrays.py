@@ -162,9 +162,14 @@ _NAN = float("nan")
     lambda: solver.SolverConfig(grid_n=64, tol=math.inf),
     lambda: certify_bilipschitz(closed_maps.fc_map(0.9), [0, 1], bound=math.inf),
     lambda: certify_bilipschitz(closed_maps.fc_map(0.9), [0, 1], bound=_NAN),
+    lambda: GridMap(bbox=(-1, -1, 1, 1), values=np.zeros((4, 4)),
+                    tail=complex(_NAN, 0)),
+    lambda: HolderGrid(samples=np.zeros((2, 2)), bbox=(-math.inf, -1, 1, 1),
+                       epsilon=1.0, holder_c=1.0),
 ], ids=["sector_invariants", "is_allowable_sector", "fangle_map",
         "compose_dilatation", "SolverConfig", "SolverConfig_tol_inf",
-        "certify_bound_inf", "certify_bound_nan"])
+        "certify_bound_inf", "certify_bound_nan", "GridMap_tail_nan",
+        "HolderGrid_bbox_inf"])
 def test_nan_inputs_are_rejected_where_they_enter(build):
     with pytest.raises(ValueError):
         build()

@@ -392,6 +392,20 @@ def test_locus_rejects_no_samples(tmp_path, capsys):
     assert rc == 2
 
 
+def test_map_with_nonfinite_tail_is_bad_input(tmp_path, capsys):
+    p = tmp_path / "nan.qcmap"
+    GridMap(bbox=(-1, -1, 1, 1), values=np.zeros((4, 4))).save(p)
+    raw = bytearray(p.read_bytes())
+    raw[48:56] = struct.pack("<d", math.nan)  # the tail's real part
+    p.write_bytes(bytes(raw))
+    rc, _ = run_cli(capsys, "render", "--map", str(p), "--window=-1,-1,1,1",
+                    "--px", "16", "--out", str(tmp_path / "x.ppm"))
+    assert rc == 2
+    rc, _ = run_cli(capsys, "certify", "--map", str(p), "--centers", "0,0",
+                    "--bound", "2.0")
+    assert rc == 2
+
+
 def test_certify_bad_map_source(capsys):
     rc, _ = run_cli(capsys, "certify", "--map", "builtin:nope",
                     "--centers", "0,0", "--bound", "1.0")

@@ -36,14 +36,13 @@ def _reference_cell_kernel(U, hx, hy):
     return (base + np.where(inrow, corr, 0.0)) / math.pi
 
 
-def _reference_cauchy(g, spacing):
-    """Cauchy transform with the kernel built per cell at the given spacing."""
+def _reference_cauchy(g, h):
+    """Cauchy transform with the kernel built per cell of side h."""
     ny, nx = g.shape
-    dx, dy = spacing
-    ox = (np.fft.fftfreq(2 * nx) * 2 * nx) * dx
-    oy = (np.fft.fftfreq(2 * ny) * 2 * ny) * dy
+    ox = (np.fft.fftfreq(2 * nx) * 2 * nx) * h
+    oy = (np.fft.fftfreq(2 * ny) * 2 * ny) * h
     OX, OY = np.meshgrid(ox, oy)
-    K = _reference_cell_kernel(OX + 1j * OY, dx, dy)
+    K = _reference_cell_kernel(OX + 1j * OY, h, h)
     gp = np.zeros((2 * ny, 2 * nx), dtype=complex)
     gp[:ny, :nx] = g
     return np.fft.ifft2(np.fft.fft2(gp) * np.fft.fft2(K))[:ny, :nx]
@@ -76,23 +75,22 @@ def test_singular_transform_parseval():
     # mean-free inputs keep their grid l2 norm
     n, L = 256, 4.0
     _, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
-    h = 2 * L / n
     g = (np.exp(-np.abs(Z - 0.5) ** 2 / 0.25)
          - np.exp(-np.abs(Z + 0.5) ** 2 / 0.25)).astype(complex)
     assert abs(g.sum()) < 1e-12
-    out = singular_transform(g, spacing=(h, h))
+    out = singular_transform(g)
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(g), rel=1e-10)
 
 
 def test_singular_transform_vs_cauchy_derivatives():
     # dbar(C g) = g and d(C g) = S g, checked by centered differences
     Z, g, h = _bump_grid(n=256)
-    P = cauchy_transform(g, spacing=(h, h))
+    P = cauchy_transform(g, h)
     dx = (P[1:-1, 2:] - P[1:-1, :-2]) / (2 * h)
     dy = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2 * h)
     dzbar = 0.5 * (dx + 1j * dy)
     dz = 0.5 * (dx - 1j * dy)
-    sg = singular_transform(g, spacing=(h, h))
+    sg = singular_transform(g)
     in_err = np.abs(dzbar - g[1:-1, 1:-1]).max()
     s_err = np.abs(dz - sg[1:-1, 1:-1]).max()
     assert in_err < 10 * h
@@ -104,9 +102,8 @@ def test_singular_transform_beurling_oracle():
     # ringing from the jump decays away from the circle
     n, L = 512, 4.0
     _, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
-    h = 2 * L / n
     g = (np.abs(Z) <= 1.0).astype(complex)
-    out = singular_transform(g, spacing=(h, h))
+    out = singular_transform(g)
     inner = np.abs(Z) < 0.7
     outer = (np.abs(Z) > 1.3) & (np.abs(Z) < 2.5)
     assert np.abs(out[inner]).max() < 3e-2
@@ -126,7 +123,7 @@ def test_cauchy_transform_disk_oracle():
     _, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
     h = 2 * L / n
     g = (np.abs(Z) <= 1.0).astype(complex)
-    P = cauchy_transform(g, spacing=(h, h))
+    P = cauchy_transform(g, h)
     inner = np.abs(Z) < 0.9
     outer = np.abs(Z) > 1.1
     assert np.abs(P[inner] - np.conj(Z[inner])).max() < 3e-2
@@ -134,27 +131,26 @@ def test_cauchy_transform_disk_oracle():
 
 
 @pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("aspect", [1.0, 2.0])
-def test_cauchy_transform_matches_per_cell_kernel(n, aspect):
-    g, h = _solver_like_density(n)
-    ref = _reference_cauchy(g, (h, aspect * h))
-    out = cauchy_transform(g, spacing=(h, aspect * h))
+@pytest.mark.parametrize("h", [1.0, 0.1])
+def test_cauchy_transform_matches_per_cell_kernel(n, h):
+    g, _ = _solver_like_density(n)
+    ref = _reference_cauchy(g, h)
+    out = cauchy_transform(g, h)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n, pad_factor, aspect", [
+@pytest.mark.parametrize("n, pad_factor, h", [
     *((n, p, 1.0) for n in (64, 128) for p in (2.0, 2.5, 4.0)),
-    (64, 4.0, 2.5),
+    (64, 4.0, 0.1),
 ])
-def test_windowed_cauchy_transform_equals_full_grid(n, pad_factor, aspect):
+def test_windowed_cauchy_transform_equals_full_grid(n, pad_factor, h):
     # the solver's Cauchy step: P on the whole grid from its support window
-    g, h = _solver_like_density(n)
-    window = solver._support_window(n, pad_factor)
+    g, _ = _solver_like_density(n)
+    w = solver._support_window(n, pad_factor)
     embedded = np.zeros_like(g)
-    embedded[window] = g[window]
-    spacing = (h, aspect * h)
-    ref = cauchy_transform(embedded, spacing=spacing)
-    out = cauchy_transform(g[window], spacing=spacing, border=window[0].start)
+    embedded[w, w] = g[w, w]
+    ref = cauchy_transform(embedded, h)
+    out = cauchy_transform(g[w, w], h, border=w.start)
     assert out.shape == (n, n)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -166,8 +162,8 @@ def test_windowed_cauchy_transform_on_odd_fft_grid():
     w = np.exp(-np.abs(Z - 0.2j) ** 2) * (1 + 0.5j * Z.real)
     embedded = np.zeros((16, 16), dtype=complex)
     embedded[3:13, 3:13] = w
-    ref = cauchy_transform(embedded, spacing=(0.2, 0.2))
-    out = cauchy_transform(w, spacing=(0.2, 0.2), border=3)
+    ref = cauchy_transform(embedded, 0.2)
+    out = cauchy_transform(w, 0.2, border=3)
     assert out.shape == (16, 16)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -175,8 +171,8 @@ def test_windowed_cauchy_transform_on_odd_fft_grid():
 def test_warm_solve_memory_peak():
     # a solve holds its support window, the Cauchy step's spectrum, its
     # inverse's second pass on the result's columns only and the n-by-n
-    # result, but no n-by-n density and no 2n-by-2n padding
-    for n, mib in ((256, 5), (512, 20)):
+    # result, but no n-by-n density, coordinate grid or 2n-by-2n padding
+    for n, mib in ((256, 4), (512, 13)):
         mu, cfg = DiskConstant(c=0.5), SolverConfig(grid_n=n)
         solve_principal(mu, cfg)  # fills the kernel caches
         tracemalloc.start()
@@ -189,33 +185,32 @@ def test_warm_solve_memory_peak():
 
 
 def test_transform_caches_match_fresh_calls():
-    cases = [((n, n), (h, a * h)) for n in (64, 128) for h in (0.05, 0.125)
-             for a in (1.0, 2.0)]
+    cases = [((n, n), h) for n in (64, 128) for h in (0.05, 0.125)]
     grids = {shape: _solver_like_density(shape[0])[0] for shape, _ in cases}
 
-    def transforms(shape, spacing):
+    def transforms(shape, h):
         g = grids[shape]
         window = g[shape[0] // 4:shape[0] // 2 + 3, shape[1] // 4:]
-        return (singular_transform(g, spacing=spacing),
-                singular_transform(window, spacing=spacing, period=shape),
-                cauchy_transform(g, spacing=spacing))
+        return (singular_transform(g),
+                singular_transform(window, period=shape),
+                cauchy_transform(g, h))
 
     fresh = []
-    for shape, spacing in cases:
+    for shape, h in cases:
         solver._kernel_hat.cache_clear()
-        fresh.append(transforms(shape, spacing))
+        fresh.append(transforms(shape, h))
     for _ in range(2):
-        for (shape, spacing), refs in zip(cases, fresh):
-            for out, ref in zip(transforms(shape, spacing), refs):
+        for (shape, h), refs in zip(cases, fresh):
+            for out, ref in zip(transforms(shape, h), refs):
                 assert np.array_equal(out, ref)
 
 
 def test_transform_caches_are_read_only():
     solver._kernel_hat.cache_clear()
-    torus = solver._kernel_hat(64, 64, 1.0, period=(64, 64))
-    folded = solver._kernel_hat(36, 36, 1.0, period=(64, 64))
-    khat = solver._kernel_hat(128, 128, 1.0)
-    shifted = solver._kernel_hat(90, 90, 1.0, shift=23)
+    torus = solver._kernel_hat(64, 64, period=(64, 64))
+    folded = solver._kernel_hat(36, 36, period=(64, 64))
+    khat = solver._kernel_hat(128, 128)
+    shifted = solver._kernel_hat(90, 90, shift=23)
     for arr in (torus, folded, khat, shifted):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -230,15 +225,15 @@ def test_solve_caches_one_kernel_per_transform():
     assert solver._kernel_hat.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("period, shape, spacing", [
-    ((64, 64), (1, 1), (1.0, 1.0)),
-    ((64, 64), (17, 23), (1.0, 1.0)),
-    ((64, 128), (9, 40), (0.1, 0.1)),
-    ((64, 64), (40, 40), (1.0, 1.0)),
-    ((64, 64), (40, 9), (1.0, 1.0)),
-    ((64, 96), (20, 31), (0.1, 0.25)),
+@pytest.mark.parametrize("period, shape", [
+    ((64, 64), (1, 1)),
+    ((64, 64), (17, 23)),
+    ((64, 128), (9, 40)),
+    ((64, 64), (40, 40)),
+    ((64, 64), (40, 9)),
+    ((64, 96), (20, 31)),
 ])
-def test_windowed_transform_equals_torus_transform(period, shape, spacing):
+def test_windowed_transform_equals_torus_transform(period, shape):
     # a window wider than half its period is convolved on the period itself
     # along that axis; the kernel must reproduce the torus operator exactly
     rng = np.random.default_rng(sum(shape))
@@ -246,49 +241,47 @@ def test_windowed_transform_equals_torus_transform(period, shape, spacing):
     oy, ox = ((p - b) // 2 for p, b in zip(period, shape))
     padded = np.zeros(period, dtype=complex)
     padded[oy:oy + shape[0], ox:ox + shape[1]] = w
-    ref = singular_transform(padded, spacing=spacing)[oy:oy + shape[0],
-                                                      ox:ox + shape[1]]
-    out = singular_transform(w, spacing=spacing, period=period)
+    ref = singular_transform(padded)[oy:oy + shape[0], ox:ox + shape[1]]
+    out = singular_transform(w, period=period)
     assert out.shape == shape
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("period, shape, spacing", [
-    ((64, 64), (17, 23), (1.0, 1.0)),
-    ((64, 64), (40, 9), (1.0, 1.0)),
-    ((64, 64), (40, 40), (0.1, 0.1)),
-    ((64, 96), (20, 31), (0.1, 0.25)),
-    ((256, 256), (66, 66), (1.0, 1.0)),
+@pytest.mark.parametrize("period, shape, h", [
+    ((64, 64), (17, 23), 1.0),
+    ((64, 64), (40, 9), 1.0),
+    ((64, 64), (40, 40), 0.1),
+    ((64, 96), (20, 31), 0.1),
+    ((256, 256), (66, 66), 1.0),
 ])
-def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, spacing):
+def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, h):
     # each transform inverts only the lines it reads back; that must change
     # no bit of the full inverse FFT read back on the same lines
     rng = np.random.default_rng(sum(shape))
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    (wy, wx), (ny, nx), (dx, dy) = shape, period, spacing
-    aspect = dy / dx
+    (wy, wx), (ny, nx) = shape, period
 
     my, mx = (min(p, solver._next_5_smooth(2 * b - 1))
               for p, b in zip(period, shape))
-    khat = solver._kernel_hat(my, mx, aspect, period=period)
+    khat = solver._kernel_hat(my, mx, period=period)
     ref = np.fft.ifft2(np.fft.fft2(w, s=(my, mx)) * khat)[:wy, :wx]
-    assert np.array_equal(singular_transform(w, spacing, period), ref)
+    assert np.array_equal(singular_transform(w, period), ref)
 
     border = 3
     M = [solver._next_5_smooth(2 * (b + border)) for b in shape]
-    khat = solver._kernel_hat(*M, aspect, shift=border)
-    ref = np.fft.ifft2(np.fft.fft2(w, s=M) * khat * dx)
+    khat = solver._kernel_hat(*M, shift=border)
+    ref = np.fft.ifft2(np.fft.fft2(w, s=M) * khat * h)
     ref = ref[:wy + 2 * border, :wx + 2 * border]
-    assert np.array_equal(cauchy_transform(w, spacing, border), ref)
+    assert np.array_equal(cauchy_transform(w, h, border), ref)
 
     zeta = (np.fft.fftfreq(nx)[None, :]
-            + 1j * np.fft.fftfreq(ny, d=aspect)[:, None])
+            + 1j * np.fft.fftfreq(ny)[:, None])
     mult = np.zeros_like(zeta)
     mult[zeta != 0] = np.conj(zeta[zeta != 0]) / zeta[zeta != 0]
     rows = np.arange(-(my // 2), my - my // 2) % ny
     cols = np.arange(-(mx // 2), mx - mx // 2) % nx
     ref = np.fft.ifft2(mult)[np.ix_(rows, cols)]
-    assert np.array_equal(solver._s_kernel(my, mx, aspect, period), ref)
+    assert np.array_equal(solver._s_kernel(my, mx, period), ref)
 
 
 def test_windowed_transform_rejects_window_beyond_period():
@@ -307,19 +300,19 @@ def test_solve_matches_full_grid_neumann_loop(pad_factor):
         warnings.simplefilter("error", RuntimeWarning)
         gm = solve_principal(mu, cfg)
     n = (cfg.grid_n, cfg.grid_n)
-    xs, ys, Z = grid_coordinates(gm.bbox, n)
+    xs, _, Z = grid_coordinates(gm.bbox, n)
     h = (gm.bbox[2] - gm.bbox[0]) / cfg.grid_n
-    m = solver._sample_mu(mu, Z, xs[1] - xs[0], ys[1] - ys[0])
+    m = solver._sample_mu(mu, Z, xs[1] - xs[0])
     cur = m.copy()
     for it in range(1, cfg.max_iter + 1):
-        nxt = m * singular_transform(cur, spacing=(h, h)) + m
+        nxt = m * singular_transform(cur) + m
         res = np.abs(nxt - cur).max()
         cur = nxt
         if res <= cfg.tol:
             break
     assert gm.iterations == it
     assert gm.final_residual == pytest.approx(res, rel=1e-12)
-    assert np.abs(gm.values - (Z + _reference_cauchy(cur, (h, h)))).max() <= 1e-12
+    assert np.abs(gm.values - (Z + _reference_cauchy(cur, h))).max() <= 1e-12
     assert abs(gm.tail - cur.sum() * h * h / math.pi) <= 1e-12
 
 
@@ -417,15 +410,15 @@ def test_sampled_field_vanishes_outside_support_window(mu, pad_factor):
     n = (64, 64)
     L = pad_factor * mu.support_radius()
     bbox = (-L, -L, L, L)
-    window = solver._support_window(n[0], pad_factor)
-    xs, ys, Z = grid_coordinates(bbox, n)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    full = solver._sample_mu(mu, Z, hx, hy)
+    w = solver._support_window(n[0], pad_factor)
+    xs, _, Z = grid_coordinates(bbox, n)
+    full = solver._sample_mu(mu, Z, xs[1] - xs[0])
     outside = np.ones(n, dtype=bool)
-    outside[window] = False
+    outside[w, w] = False
     assert np.any(full)
     assert not np.any(full[outside])
-    assert np.array_equal(solver._sample_mu(mu, Z[window], hx, hy), full[window])
+    assert np.array_equal(solver._sample_mu(mu, Z[w, w], xs[1] - xs[0]),
+                          full[w, w])
 
 
 def test_solver_config_validation():
