@@ -1,20 +1,27 @@
-"""Shared edge rules: the pointwise evaluator contract, the grid codec and
-the checks on a Beltrami coefficient and a sector opening.
+"""Shared edge rules: the pointwise evaluator contract, the file writer, the
+grid codec and the checks on a Beltrami coefficient and a sector opening.
 
 ``pointwise`` gives every evaluator ``fn(obj, z, ...)`` one shape contract:
 the body sees a 1-D complex array, a scalar input returns a Python scalar
 and an array input returns an array of its shape.
 
+``write_file`` is the one way the package writes a file: every artifact
+(``.qcmap``, QCFLD1, CSV, JSON, PPM) goes through a temp file beside the
+destination and a rename, with the mode ``open(path, "wb")`` would give.
+
 The QCMAP1 map files and QCFLD1 field sample files share one layout, little
 endian: an 8-byte magic, two uint32 dims (nx, ny), a fixed-size extra header
-(empty for fields), then row-major float64 (re, im) pairs with rows ordered
-by increasing imaginary part.
+(empty for fields), then the samples as row-major complex128, byte for byte
+float64 (re, im) pairs, with rows ordered by increasing imaginary part. The
+payload goes to and from the sample array with no per-value arithmetic, so
+a load keeps every bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 
 import numpy as np
@@ -49,18 +56,32 @@ def opening(theta0, error=ValueError):
     return theta0
 
 
+def write_file(path, *chunks):
+    """Write the bytes-like ``chunks`` to ``path`` through a temp file beside
+    it and a rename. The file gets mode 0o666 less the umask; on failure the
+    temp file is removed and the OSError names ``path``."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".qcmap-tmp-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def write_grid(path, magic, values, header=b""):
     """Write complex ``values`` (ny, nx) after ``magic``, dims and ``header``."""
-    values = np.asarray(values, dtype=complex)
+    values = np.ascontiguousarray(values, "<c16")
     ny, nx = values.shape
-    inter = np.empty((ny, nx, 2), dtype="<f8")
-    inter[..., 0] = values.real
-    inter[..., 1] = values.imag
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<II", nx, ny))
-        fh.write(header)
-        fh.write(inter.tobytes())
+    write_file(path, magic, struct.pack("<II", nx, ny), header, values)
 
 
 def read_grid(path, magic, header_size=0, error=ValueError):
@@ -74,16 +95,18 @@ def read_grid(path, magic, header_size=0, error=ValueError):
         if got != magic:
             raise error(f"bad magic {got!r} in {path}")
         head = fh.read(8 + header_size)
-        payload = fh.read()
-    if len(head) != 8 + header_size:
-        raise error(f"truncated header in {path}")
-    nx, ny = struct.unpack_from("<II", head)
-    if nx == 0 or ny == 0:
-        raise error(f"zero grid dimensions {nx}x{ny} in {path}")
-    size = 16 * nx * ny
-    if len(payload) < size:
-        raise error(f"truncated grid file {path}")
-    if len(payload) > size:
-        raise error(f"{len(payload) - size} trailing bytes in {path}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(ny, nx, 2)
-    return raw[..., 0] + 1j * raw[..., 1], head[8:]
+        if len(head) != 8 + header_size:
+            raise error(f"truncated header in {path}")
+        nx, ny = struct.unpack_from("<II", head)
+        if nx == 0 or ny == 0:
+            raise error(f"zero grid dimensions {nx}x{ny} in {path}")
+        size = 16 * nx * ny
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise error(f"truncated grid file {path}")
+        if left > size:
+            raise error(f"{left - size} trailing bytes in {path}")
+        values = np.empty((ny, nx), "<c16")
+        if fh.readinto(values) != size:
+            raise error(f"truncated grid file {path}")
+    return values, head[8:]

@@ -1,9 +1,10 @@
 """Command-line interface: allowability, locus, solving, certification, rendering.
 
 Every command prints a JSON run report to stdout and optionally writes its
-artifact (CSV locus, binary grid map, JSON certificate, PPM image) through an
-atomic temp-and-rename. Exit codes: 0 success or certification pass, 1
-certification fail, 2 bad input, 3 numeric non-convergence.
+artifact (CSV locus, binary grid map, JSON certificate, PPM image) through
+the atomic temp-and-rename of ``_arrays.write_file``. Exit codes: 0 success
+or certification pass, 1 certification fail, 2 bad input, 3 numeric
+non-convergence.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
+from ._arrays import write_file
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
                           fc_map, identity_map, is_allowable_sector,
                           sector_invariants, unrotate_corner)
@@ -96,23 +96,6 @@ def _parse_centers(spec):
     return np.asarray(pts, dtype=complex)
 
 
-def _atomic_write_bytes(path, payload):
-    """Write through a temp file and a rename; an OSError names ``path``."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".qcmap-tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
-
-
 def _finite_or_null(obj):
     """Copy of a report with every non-finite float replaced by None."""
     if isinstance(obj, float):
@@ -135,7 +118,7 @@ def _emit(command, config, result, t0, out_path=None):
     text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2,
                       allow_nan=False)
     if out_path:
-        _atomic_write_bytes(out_path, (text + "\n").encode())
+        write_file(out_path, text.encode(), b"\n")
     print(text)
     return report
 
@@ -172,7 +155,7 @@ def _cmd_locus(args):
     lines = ["re,im"]
     for p in locus.points:
         lines.append(f"{p.real:.17g},{p.imag:.17g}")
-    _atomic_write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+    write_file(args.out, ("\n".join(lines) + "\n").encode())
     result = {"theta0": args.theta0,
               "samples": args.samples,
               "points": len(locus.points),
@@ -298,7 +281,7 @@ def _cmd_render(args):
         img[py[keep], px[keep]] = _CURVE_COLORS[kind]
         drawn[kind] = drawn.get(kind, 0) + int(keep.sum())
     header = f"P6\n{width} {height}\n255\n".encode()
-    _atomic_write_bytes(args.out, header + img.tobytes())
+    write_file(args.out, header, img)
     result = {"out": args.out, "width": width, "height": height,
               "points_drawn": drawn}
     _emit("render", {"map": meta, "window": list(window), "px": args.px},
@@ -335,10 +318,10 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="solve the Beltrami equation on a grid")
     ps.add_argument("--field", required=True, help="field spec JSON path")
-    ps.add_argument("--grid-n", type=int, default=512)
-    ps.add_argument("--pad-factor", type=_finite, default=4.0)
-    ps.add_argument("--tol", type=_finite, default=1e-8)
-    ps.add_argument("--max-iter", type=int, default=1000)
+    ps.add_argument("--grid-n", type=int, default=SolverConfig.grid_n)
+    ps.add_argument("--pad-factor", type=_finite, default=SolverConfig.pad_factor)
+    ps.add_argument("--tol", type=_finite, default=SolverConfig.tol)
+    ps.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     ps.add_argument("--out", required=True, help="output .qcmap path")
     ps.add_argument("--json", default=None)
     ps.set_defaults(func=_cmd_solve)

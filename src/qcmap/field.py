@@ -345,8 +345,8 @@ def write_grid_samples(path, samples):
     """Write complex grid samples (ny, nx) as a QCFLD1 file.
 
     The layout is the shared grid layout of ``qcmap._arrays`` with no extra
-    header: 8-byte magic, two uint32 dims (nx, ny), then row-major float64
-    (re, im) pairs with rows ordered by increasing imaginary part.
+    header: 8-byte magic, two uint32 dims (nx, ny), then row-major
+    little-endian complex128 with rows ordered by increasing imaginary part.
     """
     write_grid(path, FIELD_MAGIC, samples)
 

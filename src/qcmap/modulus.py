@@ -202,14 +202,6 @@ class CertificateReport:
                 "gaps": [g.to_dict() for g in self.gaps]}
 
 
-def _diameter(pts):
-    if pts.size <= 2000:
-        d = np.abs(pts[:, None] - pts[None, :])
-        return float(d.max())
-    xs, ys = pts.real, pts.imag
-    return float(math.hypot(xs.max() - xs.min(), ys.max() - ys.min()))
-
-
 def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
                         circle_samples=1024, r_min=None, r_max=None, seed=0,
                         resolution=None) -> CertificateReport:
@@ -245,7 +237,8 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     if pts.size == 0:
         raise ValueError("empty test set")
     if r_max is None or r_min is None:
-        diam = _diameter(pts)
+        # the exact diameter, one row of distances at a time
+        diam = float(max(np.abs(pts - p).max() for p in pts))
         if diam <= 0:
             raise ValueError("test set has zero diameter; pass r_min and r_max")
         r_max = 4.0 * diam if r_max is None else float(r_max)

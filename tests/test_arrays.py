@@ -1,7 +1,11 @@
-"""The shared contracts of qcmap._arrays: pointwise shapes, the grid codec
-and the input rules."""
+"""The shared contracts of qcmap._arrays: pointwise shapes, the file writer,
+the grid codec and the input rules."""
 
+import errno
+import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcmap import closed_maps, extension, field, solver
+from qcmap.cli import main
 from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
                          SectorConstant, read_grid_samples, write_grid_samples)
 from qcmap.modulus import certify_bilipschitz
@@ -148,6 +153,64 @@ def test_field_file_rejects_zero_dims(tmp_path):
     p.write_bytes(field.FIELD_MAGIC + struct.pack("<II", 0, 3))
     with pytest.raises(FieldError, match="zero"):
         read_grid_samples(p)
+
+
+# -- the file writer ----------------------------------------------------------
+
+def _run_cli(*argv):
+    """Run the CLI; a non-zero exit raises OSError."""
+    rc = main([str(a) for a in argv])
+    if rc:
+        raise OSError(f"qcmap exited with {rc}")
+
+
+def _cli_solve(dest, work):
+    fld = work / "disk.json"
+    fld.write_text(json.dumps({"kind": "disk_constant", "c": [0.3, 0.1]}))
+    _run_cli("solve", "--field", fld, "--grid-n", 64, "--out", dest)
+
+
+_GRID = np.full((3, 4), 0.3 - 0.1j)
+_WRITERS = {
+    "GridMap.save": lambda dest, work: _save_map(dest, _GRID, 0.25),
+    "write_grid_samples": lambda dest, work: write_grid_samples(dest, _GRID),
+    "solve": _cli_solve,
+    "locus": lambda dest, work: _run_cli(
+        "locus", "--theta0", 1, "--samples", 4, "--out", dest),
+    "render": lambda dest, work: _run_cli(
+        "render", "--map", "builtin:identity", "--window=-1,-1,1,1",
+        "--px", 16, "--out", dest),
+    "json": lambda dest, work: _run_cli(
+        "allowable", "--theta0", 1, "--c", "0.3,0", "--json", dest),
+}
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write):
+    out = tmp_path / "out"
+    out.mkdir()
+    dest = out / "artifact"
+    dest.write_bytes(b"old")
+
+    def fail(src, dst):
+        raise OSError(errno.EIO, "injected rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write(dest, tmp_path)
+    assert dest.read_bytes() == b"old"
+    assert [q.name for q in out.iterdir()] == ["artifact"]
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+def test_artifacts_get_the_umask_mode(tmp_path, write):
+    dest = tmp_path / "artifact"
+    old = os.umask(0o022)
+    try:
+        write(dest, tmp_path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(dest.stat().st_mode) == 0o644
 
 
 _NAN = float("nan")

@@ -160,10 +160,15 @@ def test_grid_binary_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     samples = (rng.uniform(-0.4, 0.4, (17, 23))
                + 1j * rng.uniform(-0.4, 0.4, (17, 23)))
-    path = tmp_path / "mu.bin"
-    write_grid_samples(path, samples)
-    back = read_grid_samples(path)
-    assert np.array_equal(back, samples)
+    signed_zeros = np.array([[complex(-0.0, 1), complex(1, -0.0)],
+                             [complex(-0.0, -0.0), 0.5]])
+    path, again = tmp_path / "mu.bin", tmp_path / "again.bin"
+    for grid in (samples, signed_zeros):
+        write_grid_samples(path, grid)
+        back = read_grid_samples(path)
+        assert back.tobytes() == grid.tobytes()
+        write_grid_samples(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_grid_binary_bad_magic(tmp_path):

@@ -292,3 +292,14 @@ def test_decompose_triangle_dominates_gap():
         assert gap <= t1 + t2 + t3 + 2 * (upper - lower) + 1e-9
         checked += 1
     assert checked >= 80
+
+
+def test_default_r_max_is_four_diameters_of_a_large_test_set():
+    # 2001 points on the unit circle: the diameter is the longest chord,
+    # not the bounding-box diagonal 2*sqrt(2)
+    n = 2001
+    pts = np.exp(2j * math.pi * np.arange(n) / n)
+    rep = certify_bilipschitz(identity_map, pts, bound=1.0,
+                              annuli_per_center=1, circle_samples=64)
+    assert rep.r_max == pytest.approx(4 * 2 * math.sin(math.pi * 1000 / n),
+                                      rel=1e-12)

@@ -462,13 +462,19 @@ def test_gridmap_resolution_is_twice_the_larger_cell_side():
 
 
 def test_gridmap_save_load_round_trip(tmp_path):
-    gm = solve_principal(DiskConstant(c=0.3 + 0.2j), SolverConfig(grid_n=64))
-    p = tmp_path / "map.qcmap"
-    gm.save(p)
-    back = GridMap.load(p)
-    assert np.array_equal(back.values, gm.values)
-    assert back.bbox == gm.bbox
-    assert back.tail == gm.tail
+    signed_zeros = np.array([[complex(-0.0, 1), complex(1, -0.0)],
+                             [complex(-0.0, -0.0), 0.5]])
+    p, again = tmp_path / "map.qcmap", tmp_path / "again.qcmap"
+    solved = solve_principal(DiskConstant(c=0.3 + 0.2j), SolverConfig(grid_n=64))
+    zeros = GridMap(bbox=(-1, -1, 1, 1), values=signed_zeros, tail=-0.0)
+    for gm in (solved, zeros):
+        gm.save(p)
+        back = GridMap.load(p)
+        assert back.values.tobytes() == gm.values.tobytes()
+        assert back.bbox == gm.bbox
+        assert back.tail == gm.tail
+        back.save(again)
+        assert again.read_bytes() == p.read_bytes()
 
 
 def test_gridmap_load_bad_magic(tmp_path):
