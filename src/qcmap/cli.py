@@ -175,7 +175,8 @@ def _cmd_solve(args):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         result = {"converged": False, "residual": exc.residual,
-                  "iterations": exc.iterations}
+                  "iterations": exc.iterations,
+                  "iteration_error_bound": exc.error_bound}
         _emit("solve", _solver_config_dict(cfg, args.field), result, t0, args.json)
         return 3
     gm.save(args.out)
@@ -320,7 +321,10 @@ def build_parser():
     ps.add_argument("--field", required=True, help="field spec JSON path")
     ps.add_argument("--grid-n", type=int, default=SolverConfig.grid_n)
     ps.add_argument("--pad-factor", type=_finite, default=SolverConfig.pad_factor)
-    ps.add_argument("--tol", type=_finite, default=SolverConfig.tol)
+    ps.add_argument("--tol", type=_finite, default=SolverConfig.tol,
+                    help="stop when the sup step of the density is <= tol "
+                         "(default: stop when the bound on Phi is <= 0.01*h, "
+                         "h the cell side)")
     ps.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     ps.add_argument("--out", required=True, help="output .qcmap path")
     ps.add_argument("--json", default=None)

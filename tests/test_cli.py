@@ -121,17 +121,30 @@ def test_solve_disk_reports_oracle_error(tmp_path, capsys):
 
 
 def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):
-    # |c| = 0.95 needs 231 sweeps at n=256, past the old default of 200
+    # |c| = 0.95 needs 231 sweeps at n=256 to a 1e-8 step, past the old
+    # default of 200
     fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.95, 0],
                                   "center": [0, 0], "radius": 1.0})
     rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "256",
-                      "--out", str(tmp_path / "m.qcmap"))
+                      "--tol", "1e-8", "--out", str(tmp_path / "m.qcmap"))
     assert rc == 0
     res = rep["result"]
     assert res["iterations"] > 200
     assert set(res["timings_ms"]) == {"sample", "iterate", "cauchy"}
     assert 0.85 < res["observed_rate"] < 0.95
     assert res["sup_mu"] == pytest.approx(0.95)
+
+
+def test_solve_reports_iteration_error_bound(tmp_path, capsys):
+    # without --tol the solve stops once the bound on Phi is <= 0.01 h
+    fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.95, 0]})
+    rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "256",
+                      "--out", str(tmp_path / "m.qcmap"))
+    assert rc == 0
+    assert rep["config"]["tol"] is None
+    res = rep["result"]
+    assert res["iterations"] < 200
+    assert 0 < res["iteration_error_bound"] <= 0.01 * 8 / 256
 
 
 def test_solve_round_trip_bit_exact(tmp_path, capsys):
@@ -156,6 +169,7 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 3
     assert rep["result"]["converged"] is False
     assert rep["result"]["residual"] > 0
+    assert rep["result"]["iteration_error_bound"] > 0
 
 
 def test_solve_bad_field_exit_code(tmp_path, capsys):
@@ -223,7 +237,7 @@ def test_solve_report_is_the_gridmap_dict(tmp_path, capsys):
     assert set(res.pop("timings_ms")) == set(lib.pop("timings_ms"))
     assert {k: res[k] for k in lib} == lib
     assert rep["config"] == {"field": str(fld), "grid_n": 64,
-                             "pad_factor": 4.0, "tol": 1e-8, "max_iter": 1000}
+                             "pad_factor": 4.0, "tol": None, "max_iter": 1000}
 
 
 def test_solve_holder_grid_field(tmp_path, capsys):

@@ -330,8 +330,9 @@ def test_solve_reports_phases_and_rate():
 
 
 def test_solve_high_dilatation_at_default_max_iter():
-    # |c| = 0.95 needs 231 sweeps at n=256
-    gm = solve_principal(DiskConstant(c=0.95), SolverConfig(grid_n=256))
+    # |c| = 0.95 needs 231 sweeps at n=256 to a 1e-8 step
+    gm = solve_principal(DiskConstant(c=0.95),
+                         SolverConfig(grid_n=256, tol=1e-8))
     assert gm.iterations > 200
     assert gm.final_residual <= 1e-8
 
@@ -373,6 +374,84 @@ def test_solve_nonconvergence_error():
                         SolverConfig(grid_n=64, tol=1e-10, max_iter=10))
     assert ei.value.residual is not None
     assert ei.value.residual > 1e-10
+
+
+_BOUND_FIELDS = {
+    "disk": DiskConstant(c=0.9j),
+    "sector": SectorConstant(c=0.85 * np.exp(2.0j), theta0=2.0, beta=1.0,
+                             radius=1.0),
+    "composite": Composite((
+        DiskConstant(c=0.8, center=-0.5 + 0.4j, radius=0.4),
+        SectorConstant(c=0.6j, theta0=math.pi / 2, beta=-2.5, radius=0.6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_FIELDS))
+def test_default_solve_lies_within_its_error_bound(name):
+    # the default stop leaves Phi within iteration_error_bound of the
+    # converged map: on the nodes, and through eval_gridmap inside the box
+    # (its edge band included) and outside it, where the tail takes over
+    mu = _BOUND_FIELDS[name]
+    loose = solve_principal(mu, SolverConfig(grid_n=128))
+    tight = solve_principal(mu, SolverConfig(grid_n=128, tol=1e-12))
+    bound = loose.iteration_error_bound
+    L = loose.bbox[2]
+    assert 0 < bound <= 0.01 * (2 * L / 128)
+    assert loose.iterations < tight.iterations
+    assert np.abs(loose.values - tight.values).max() <= bound
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(-L, L, 2000) + 1j * rng.uniform(-L, L, 2000)
+    edge = L * np.concatenate([np.linspace(-1, 1, 65) + 1j * s
+                               for s in (-1, 1)])
+    edge = np.concatenate([edge, 1j * edge])
+    outside = L * (1.001 + rng.uniform(0, 3, 500)) * np.exp(
+        2j * math.pi * rng.uniform(size=500))
+    for z in (inside, edge, outside):
+        assert np.abs(eval_gridmap(loose, z) - eval_gridmap(tight, z)).max() \
+            <= bound
+
+
+def test_default_solve_stops_early_at_high_dilatation():
+    # a 1e-8 density step takes 231 sweeps at |c| = 0.95, n=256
+    gm = solve_principal(DiskConstant(c=0.95), SolverConfig(grid_n=256))
+    assert gm.iterations <= 150
+    assert gm.iteration_error_bound <= 0.01 * 8 / 256
+    assert gm.to_dict()["iteration_error_bound"] == gm.iteration_error_bound
+
+
+def test_error_bound_is_kernel_norm_times_last_step():
+    # the bound is h ||K||_2 k / (1 - k) ||last step||_2, with ||K||_2 the
+    # l2 norm of the unit-cell Cauchy kernel, read by Parseval from the
+    # cache entry the Cauchy step uses, so a solve adds no entry
+    solver._kernel_hat.cache_clear()
+    solver._cauchy_gain.cache_clear()
+    mu, cfg = DiskConstant(c=0.7j, radius=0.8), SolverConfig(grid_n=64,
+                                                               tol=1e-4)
+    gm = solve_principal(mu, cfg)
+    assert solver._kernel_hat.cache_info().currsize == 2
+    n = cfg.grid_n
+    w = solver._support_window(n, cfg.pad_factor)
+    b = w.stop - w.start
+    m = solver._cauchy_size(b, w.start)
+    K = solver._cauchy_kernel(m, m)
+    xs, _, Z = grid_coordinates(gm.bbox, (n, n))
+    h = xs[1] - xs[0]
+    mu_win = solver._sample_mu(mu, Z[w, w], h)
+    x = mu_win
+    for _ in range(gm.iterations):
+        x, prev = mu_win * singular_transform(x, period=(n, n)) + mu_win, x
+    k = np.abs(mu_win).max()
+    want = (2 * gm.bbox[2] / n) * np.sqrt(np.vdot(K, K).real) * k / (1 - k) \
+        * np.linalg.norm(x - prev)
+    assert gm.iteration_error_bound == pytest.approx(want, rel=1e-9)
+
+
+def test_nonconvergence_error_carries_the_error_bound():
+    with pytest.raises(ConvergenceError) as ei:
+        solve_principal(DiskConstant(c=0.99), SolverConfig(grid_n=64,
+                                                           max_iter=10))
+    assert ei.value.iterations == 10
+    assert ei.value.error_bound > 0.01 * 8 / 64
 
 
 def test_solve_rejects_unbounded_support():
