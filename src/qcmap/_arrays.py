@@ -1,5 +1,6 @@
 """Shared edge rules: the pointwise evaluator contract, the file writer, the
-grid codec and the checks on a Beltrami coefficient and a sector opening.
+grid codec, grid cell centers and the checks on a Beltrami coefficient and a
+sector opening.
 
 ``pointwise`` gives every evaluator ``fn(obj, z, ...)`` one shape contract:
 the body sees a 1-D complex array, a scalar input returns a Python scalar
@@ -38,6 +39,11 @@ def pointwise(fn):
         return out.reshape(zz.shape)
 
     return wrapper
+
+
+def cell_centers(lo, hi, n):
+    """Centers of the n equal cells of [lo, hi], one grid axis's nodes."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
 def coefficient(c, error=ValueError):

@@ -7,8 +7,10 @@ multiplier of modulus one, so the Neumann iteration contracts in L2 at rate
 sup |mu|. The field is sampled, and h iterated, only on the window of cells
 that meet the support square; each sweep applies the n-by-n periodic S to
 that window as a cyclic convolution on an M-by-M grid, M about twice the
-window width: a forward FFT whose first pass runs on the window's rows
-only, a multiply by the cached kernel FFT, and a window-pruned inverse FFT.
+window width (128 at n=256, 256 at n=512 with pad_factor 4): a forward
+FFT whose first pass runs on the window's rows only, a multiply by the
+cached kernel FFT, and an inverse FFT pruned to the window's lines, each
+1-D pass along contiguous lines of a spectrum kept in [x, y] layout.
 
 The iteration stops when the map has converged, not the density: a sweep
 that moves h by dh leaves Phi at most kappa k / (1 - k) ||dh||_2 from its
@@ -24,8 +26,8 @@ dominate the oracle error budget, while the cell kernel reproduces the decay
 P -> 0 at infinity and the 1/z far-field tail automatically. It is the same
 convolution as a sweep's, with the kernel placed to shift the result by the
 window's offset in the grid, so it maps h on the window to P on the grid
-(M = 324 at n=256, 648 at n=512 with pad_factor 4). No n-by-n coordinate
-grid is built: a warm solve's tracemalloc peak is 3.0, 12.0 and 47.9 MiB
+(M = 320 at n=256, 640 at n=512 with pad_factor 4). No n-by-n coordinate
+grid is built: a warm solve's tracemalloc peak is 3.1, 12.3 and 49.0 MiB
 at n=256, 512 and 1024.
 
 The cells are square. One bounded cache lives for the life of the
@@ -33,10 +35,11 @@ process: the FFT of each kernel, kept per (FFT grid shape, S period or
 none, shift), up to 4 entries, 2 per grid size. Both kernels are taken on
 a unit cell: conj(xi)/xi is scale-invariant, and the Cauchy kernel of a
 cell is its side times that of a unit one, so every cell side of one grid
-shares them. An entry is M^2 complex values: 1.2 MB for S and 6.7 MB for
-the Cauchy step at n=512 with pad_factor 4, 27 MB for the Cauchy step at
-n=1024. Building the S entry costs one n-by-n inverse FFT, the Cauchy one
-a log per corner of the half-integer lattice; each then takes one FFT.
+shares them. An entry is M^2 complex values in [x, y] layout: 1.0 MB for
+S and 6.6 MB for the Cauchy step at n=512 with pad_factor 4, 26 MB for
+the Cauchy step at n=1024. Building the S entry costs one n-by-n inverse
+FFT, the Cauchy one a real log and atan2 per corner of the half-integer
+lattice; each then takes one FFT.
 kappa is computed from the Cauchy entry once per grid and kept, one float
 per grid, in a second cache of up to 4 entries.
 """
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import pointwise, read_grid, write_grid
+from ._arrays import cell_centers, pointwise, read_grid, write_grid
 
 SOLVER_MAGIC = b"QCMAP1\x00\x00"
 
@@ -93,10 +96,8 @@ def grid_coordinates(bbox, n):
     """Cell-centered coordinates (xs, ys, Z) of an (ny, nx) grid over bbox."""
     xmin, ymin, xmax, ymax = bbox
     ny, nx = n
-    hx = (xmax - xmin) / nx
-    hy = (ymax - ymin) / ny
-    xs = xmin + (np.arange(nx) + 0.5) * hx
-    ys = ymin + (np.arange(ny) + 0.5) * hy
+    xs = cell_centers(xmin, xmax, nx)
+    ys = cell_centers(ymin, ymax, ny)
     X, Y = np.meshgrid(xs, ys)
     return xs, ys, X + 1j * Y
 
@@ -139,12 +140,28 @@ def _warn_if_periodized(g, ny, nx):
                           RuntimeWarning, stacklevel=3)
 
 
-def _ifft2_lines(spec, rows, cols):
-    """ifft2(spec)[rows][:, cols] bit for bit, overwriting spec: ifft2 runs
-    the same 1-D passes, last axis first, so pruning the columns after the
-    first pass and the rows after the second changes no bit."""
-    return np.fft.ifft(np.fft.ifft(spec, axis=1, out=spec)[:, cols],
-                       axis=0)[rows]
+def _fft_t(g, my, mx):
+    """fft2(g, s=(my, mx)).T bit for bit, every pass on contiguous lines.
+
+    Like fft2, a pass along x (on g's rows only), then along y, here on a
+    transposed copy; the first pass's output is freed before the second.
+    """
+    return np.fft.fft(np.fft.fft(g, n=mx, axis=1).T.copy(), n=my, axis=1)
+
+
+def _convolve(g, khat_t, ny, nx):
+    """The ny-by-nx corner of the cyclic convolution of g with a kernel.
+
+    khat_t is the kernel's FFT on the my-by-mx cyclic grid, transposed as
+    _fft_t gives it, and g sits at the grid's origin. The inverse runs
+    along y on all mx lines in place, then along x on a transposed copy of
+    the ny lines kept, keeping nx of each.
+    """
+    spec = _fft_t(g, *khat_t.shape[::-1])
+    spec *= khat_t
+    np.fft.ifft(spec, axis=1, out=spec)
+    out = spec[:, :ny].T.copy()
+    return np.fft.ifft(out, axis=1, out=out)[:, :nx]
 
 
 def _s_kernel(my, mx, period):
@@ -152,14 +169,18 @@ def _s_kernel(my, mx, period):
 
     The kernel is ifft2 of conj(xi) / xi with the zero frequency set to 0 on
     the ``period`` torus, read at those offsets mod the period; on square
-    cells conj(xi) / xi does not depend on the cell side.
+    cells conj(xi) / xi does not depend on the cell side. Like ifft2, a pass
+    along x, then along y (on a transposed copy of the columns read), so it
+    is ifft2's value bit for bit.
     """
     ny, nx = period
     zeta = np.fft.fftfreq(nx)[None, :] + 1j * np.fft.fftfreq(ny)[:, None]
     mult = np.divide(np.conj(zeta), zeta, out=np.zeros_like(zeta),
                      where=zeta != 0)
-    return _ifft2_lines(mult, np.arange(-(my // 2), my - my // 2) % ny,
-                        np.arange(-(mx // 2), mx - mx // 2) % nx)
+    cols = np.arange(-(mx // 2), mx - mx // 2) % nx
+    rows = np.arange(-(my // 2), my - my // 2) % ny
+    lines = np.fft.ifft(mult, axis=1, out=mult).T[cols]
+    return np.fft.ifft(lines, axis=1, out=lines)[:, rows].T
 
 
 def _cauchy_kernel(my, mx):
@@ -170,15 +191,23 @@ def _cauchy_kernel(my, mx):
     u = kx + i ky, for -(m // 2) <= k < m - m // 2 per axis. The
     closed form is the four-corner difference of G(s) = s (log s - 1), and
     every cell corner lies on one half-integer lattice, so G is evaluated
-    once per lattice point. The principal branch needs a correction on the
-    row ky = 0: there the vertical antiderivative path crosses the negative
-    real cut for source columns right of the evaluation point.
+    once per lattice point, in real arithmetic: for s = a + i b, log s - 1
+    = (log(a^2 + b^2) / 2 - 1) + i atan2(b, a), the principal branch. That
+    branch needs a correction on the row ky = 0: there the vertical
+    antiderivative path crosses the negative real cut for source columns
+    right of the evaluation point.
     """
     ny, nx = my // 2, mx // 2
     a = np.arange(mx + 1) - (nx + 0.5)
-    b = np.arange(my + 1) - (ny + 0.5)
-    G = a[None, :] + 1j * b[:, None]
-    G *= np.log(G) - 1.0
+    b = (np.arange(my + 1) - (ny + 0.5))[:, None]
+    log_r = np.log(np.square(a) + np.square(b))
+    log_r *= 0.5
+    log_r -= 1.0
+    arg = np.arctan2(b, a)
+    G = np.empty(log_r.shape, dtype=complex)
+    G.real = a * log_r - b * arg
+    G.imag = a * arg + b * log_r
+    del log_r, arg
     K = G[:-1, 1:] - G[:-1, :-1]
     K -= G[1:, 1:]
     K += G[1:, :-1]
@@ -197,8 +226,9 @@ def _kernel_hat(my, mx, period=None, shift=0):
     The kernel is the torus S of ``period`` or, without one, the Cauchy
     kernel of a unit square cell, taken at the offsets -(m // 2) ... m -
     m // 2 - 1 per axis and placed so that offset d sits at index
-    (d + shift) mod m. Multiplying it into the FFT of data placed at the
-    grid's origin convolves the data with the kernel and moves the result
+    (d + shift) mod m. The FFT is kept mx-by-my, in the [x, y] layout of
+    _fft_t; multiplied into the FFT of data placed at the grid's origin
+    (_convolve), it convolves the data with the kernel and moves the result
     ``shift`` cells along each axis.
     """
     if period is None:
@@ -206,7 +236,7 @@ def _kernel_hat(my, mx, period=None, shift=0):
     else:
         K = _s_kernel(my, mx, period)
     K = np.roll(K, (shift - my // 2, shift - mx // 2), axis=(0, 1))
-    khat = np.fft.fft2(K)
+    khat = _fft_t(K, my, mx)
     del K
     khat.flags.writeable = False
     return khat
@@ -217,18 +247,20 @@ def singular_transform(g, period=None):
 
     This is the two-dimensional Hilbert-type transform taking dbar h to d h:
     forward FFT, multiply by conj(xi)/xi with the zero frequency set to 0,
-    inverse FFT of only the lines read back. The multiplier is unimodular off
-    the origin, so grid L2 norms of mean-zero inputs are kept. Accuracy
-    degrades when the input support reaches the grid boundary; inputs with more
-    than 1% of their energy in the outer eighth of the grid trigger a warning.
+    inverse FFT of only the lines read back (see _convolve). The multiplier
+    is unimodular off the origin, so grid L2 norms of mean-zero inputs are
+    kept. Accuracy degrades when the input support reaches the grid
+    boundary; inputs with more than 1% of their energy in the outer eighth
+    of the grid trigger a warning.
 
     With ``period`` = (ny, nx), g is a window of an ny-by-nx grid that is
     zero outside it, and the result is the ny-by-nx transform read back on
     the window. Its output and input offsets lie within the window size, so
     the torus kernel read onto a cyclic grid of the smallest 5-smooth size
     of at least 2 b - 1 cells per axis (b the window size), or of the
-    period if that is smaller, applies it exactly. The periodization
-    warning treats the window as centered in its period.
+    period if that is smaller, applies it exactly: 128 at n=256 and 256 at
+    n=512 with pad_factor 4. The periodization warning treats the window as
+    centered in its period.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2:
@@ -240,30 +272,28 @@ def singular_transform(g, period=None):
     _warn_if_periodized(g, ny, nx)
     my = min(ny, _next_5_smooth(2 * wy - 1))
     mx = min(nx, _next_5_smooth(2 * wx - 1))
-    spec = np.fft.fft2(g, s=(my, mx))
-    spec *= _kernel_hat(my, mx, period=(ny, nx))
-    return _ifft2_lines(spec, slice(wy), slice(wx))
+    return _convolve(g, _kernel_hat(my, mx, period=(ny, nx)), wy, wx)
 
 
 def cauchy_transform(g, h, border=0):
     """Free-space Cauchy transform of grid data: solves dbar P = g, P -> 0.
 
     Treats g as constant per square cell of side h and convolves with the
-    exactly integrated Cauchy kernel of one cell via pruned zero-padded FFTs,
-    so there is no periodization error and the 1/z tail is reproduced to the
-    accuracy of the piecewise-constant density. The kernel of a cell of side
-    h is h times the kernel of a unit cell at offsets scaled by 1/h (the
-    log h terms cancel in the four-corner sum), so its FFT is cached per FFT
-    shape. P is returned on g's grid grown by ``border`` zero cells per
-    side; no offset wraps around the cyclic grid of the smallest 5-smooth
-    size of at least 2 (size + border) cells per axis (2n for n = 2^k).
+    exactly integrated Cauchy kernel of one cell on a zero-padded cyclic
+    grid (see _convolve), so there is no periodization error and the 1/z
+    tail is reproduced to the accuracy of the piecewise-constant density.
+    The kernel of a cell of side h is h times the kernel of a unit cell at
+    offsets scaled by 1/h (the log h terms cancel in the four-corner sum),
+    so its FFT is cached per FFT shape and h scales the input. P is
+    returned on g's grid grown by ``border`` zero cells per side; no offset
+    wraps around the cyclic grid of the smallest 5-smooth size of at least
+    2 (size + border) cells per axis (2n for n = 2^k).
     """
     g = np.asarray(g, dtype=complex)
     wy, wx = g.shape
-    spec = np.fft.fft2(g, s=[_cauchy_size(m, border) for m in g.shape])
-    spec *= _kernel_hat(*spec.shape, shift=border)
-    spec *= h
-    return _ifft2_lines(spec, slice(wy + 2 * border), slice(wx + 2 * border))
+    khat_t = _kernel_hat(*(_cauchy_size(m, border) for m in g.shape),
+                         shift=border)
+    return _convolve(g * h, khat_t, wy + 2 * border, wx + 2 * border)
 
 
 def _cauchy_size(m, border):
@@ -409,16 +439,19 @@ def _sample_mu(mu, Z, h):
 
 
 def _support_window(grid_n, pad_factor):
-    """The slice of rows, and of columns, of the cells that meet [-r, r]^2.
+    """The slice of rows, and of columns, of the cells that meet (-r, r)^2.
 
     The box of solve_principal is [-L, L]^2 with L = pad_factor * r, so in
-    cell widths the square starts (L - r) / h = grid_n (pad_factor - 1) /
+    cell widths the square starts s = grid_n (pad_factor - 1) /
     (2 pad_factor) cells in from each edge; the window depends only on the
-    grid. A cell outside it does not meet the square, and its supersampling
-    points lie at least a sixth of a cell width inside the cell, so a field
-    supported in |z| <= r samples to zero there.
+    grid. A cell before floor(s) ends at or before s, and its supersampling
+    points lie at least a sixth of a cell width inside it (far more than
+    the rounding of s), so outside the square, where a field supported in
+    |z| <= r samples to zero. Where s is an integer (pad_factor 4 and 2)
+    the window is the cells inside the square: 64 at n=256 and 128 at
+    n=512 with pad_factor 4.
     """
-    first = math.ceil(grid_n * (pad_factor - 1) / (2 * pad_factor)) - 1
+    first = math.floor(grid_n * (pad_factor - 1) / (2 * pad_factor))
     return slice(first, grid_n - first)
 
 
@@ -458,7 +491,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     sup-norm step of h is at most tol.
 
     Every iterate vanishes off the support of the sampled field, which lies
-    in the window of cells meeting the square [-r, r]^2 (r the support
+    in the window of cells meeting the open square (-r, r)^2 (r the support
     radius), so the field is sampled, h iterated and its Cauchy transform
     taken only on that window; the transform returns P on the whole grid.
     The result records the time of each phase, the observed contraction rate
@@ -474,7 +507,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     L = cfg.pad_factor * rad
     n = cfg.grid_n
     h = 2 * L / n
-    xs = -L + (np.arange(n) + 0.5) * h
+    xs = cell_centers(-L, L, n)
     w = _support_window(n, cfg.pad_factor)
     # the step of xs itself, which can differ from h in the last bit
     mu_win = _sample_mu(mu, xs[None, w] + 1j * xs[w, None], xs[1] - xs[0])

@@ -9,10 +9,11 @@ import pytest
 
 from qcmap import cli
 from qcmap.cli import main
-from qcmap.closed_maps import is_allowable_sector
+from qcmap.closed_maps import DiskMapSpec, eval_fc, is_allowable_sector
 from qcmap.field import (FIELD_MAGIC, DiskConstant, SectorConstant,
                          write_grid_samples)
-from qcmap.solver import GridMap, SolverConfig, solve_principal
+from qcmap.solver import GridMap, SolverConfig, grid_coordinates, \
+    solve_principal
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,30 @@ def test_solve_disk_reports_oracle_error(tmp_path, capsys):
     assert rep["result"]["oracle_sup_error"] < 4e-2
     tail = rep["result"]["tail"]
     assert abs(complex(tail[0], tail[1]) - 0.5) < 1e-2
+
+
+@pytest.mark.parametrize("center, radius, shape", [
+    (0j, 1.0, (128, 128)),
+    (0.3 - 0.2j, 0.7, (64, 64)),
+    (-1.1 + 0.4j, 0.45, (48, 80)),
+])
+def test_disk_oracle_error_keeps_the_whole_grid_arithmetic(center, radius,
+                                                           shape):
+    # the oracle evaluates only the rows and columns near the disk; a map
+    # equal to the whole-grid oracle on its nodes within two radii, and far
+    # from it elsewhere, must read exactly 0, and 1 once its outermost node
+    # within two radii moves by 1
+    mu = DiskConstant(c=0.4 - 0.3j, center=center, radius=radius)
+    bbox = (-2.5, -2.1, 2.2, 2.6)
+    _, _, Z = grid_coordinates(bbox, shape)
+    w = (Z - mu.center) / mu.radius
+    sel = np.abs(w) <= 2.0
+    values = np.full(shape, 100.0 + 0j)
+    values[sel] = mu.center + mu.radius * eval_fc(DiskMapSpec(mu.c), w[sel])
+    assert cli._disk_oracle_error(mu, GridMap(bbox=bbox, values=values)) == 0
+    values.flat[np.argmax(np.where(sel, np.abs(w), -1.0))] += 1.0
+    assert cli._disk_oracle_error(mu, GridMap(bbox=bbox, values=values)) \
+        == pytest.approx(1.0)
 
 
 def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):

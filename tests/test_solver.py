@@ -139,6 +139,18 @@ def test_cauchy_transform_matches_per_cell_kernel(n, h):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("my, mx", [(640, 640), (27, 27), (26, 30)])
+def test_cauchy_kernel_matches_complex_log_closed_form(my, mx):
+    # the kernel takes log s in real arithmetic; the reference takes the
+    # complex log of each cell's four corners
+    kx = np.arange(-(mx // 2), mx - mx // 2)
+    ky = np.arange(-(my // 2), my - my // 2)
+    ref = _reference_cell_kernel(kx[None, :] + 1j * ky[:, None], 1.0, 1.0)
+    K = solver._cauchy_kernel(my, mx)
+    assert K.shape == (my, mx)
+    assert np.abs(K - ref).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n, pad_factor, h", [
     *((n, p, 1.0) for n in (64, 128) for p in (2.0, 2.5, 4.0)),
     (64, 4.0, 0.1),
@@ -170,7 +182,7 @@ def test_windowed_cauchy_transform_on_odd_fft_grid():
 
 def test_warm_solve_memory_peak():
     # a solve holds its support window, the Cauchy step's spectrum, its
-    # inverse's second pass on the result's columns only and the n-by-n
+    # inverse's second pass on the result's rows only and the n-by-n
     # result, but no n-by-n density, coordinate grid or 2n-by-2n padding
     for n, mib in ((256, 4), (512, 13)):
         mu, cfg = DiskConstant(c=0.5), SolverConfig(grid_n=n)
@@ -256,22 +268,28 @@ def test_windowed_transform_equals_torus_transform(period, shape):
 ])
 def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, h):
     # each transform inverts only the lines it reads back; that must change
-    # no bit of the full inverse FFT read back on the same lines
+    # no bit of the unpruned inverse read back on the same lines. The
+    # spectrum is in [x, y] layout, and the inverse runs along y on every
+    # line, then along x
     rng = np.random.default_rng(sum(shape))
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     (wy, wx), (ny, nx) = shape, period
 
+    def unpruned(g, M, khat_t):
+        spec = np.fft.fft2(g, s=M).T * khat_t
+        return np.fft.ifft(np.fft.ifft(spec, axis=1).T, axis=1)
+
     my, mx = (min(p, solver._next_5_smooth(2 * b - 1))
               for p, b in zip(period, shape))
     khat = solver._kernel_hat(my, mx, period=period)
-    ref = np.fft.ifft2(np.fft.fft2(w, s=(my, mx)) * khat)[:wy, :wx]
+    assert khat.shape == (mx, my)
+    ref = unpruned(w, (my, mx), khat)[:wy, :wx]
     assert np.array_equal(singular_transform(w, period), ref)
 
     border = 3
     M = [solver._next_5_smooth(2 * (b + border)) for b in shape]
     khat = solver._kernel_hat(*M, shift=border)
-    ref = np.fft.ifft2(np.fft.fft2(w, s=M) * khat * h)
-    ref = ref[:wy + 2 * border, :wx + 2 * border]
+    ref = unpruned(w * h, M, khat)[:wy + 2 * border, :wx + 2 * border]
     assert np.array_equal(cauchy_transform(w, h, border), ref)
 
     zeta = (np.fft.fftfreq(nx)[None, :]
@@ -498,6 +516,20 @@ def test_sampled_field_vanishes_outside_support_window(mu, pad_factor):
     assert not np.any(full[outside])
     assert np.array_equal(solver._sample_mu(mu, Z[w, w], xs[1] - xs[0]),
                           full[w, w])
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_support_window_is_tight(n):
+    # every edge row and column of the window meets the support: no cell
+    # that is always zero is iterated
+    mu = DiskConstant(c=0.5, center=0.0, radius=1.0)
+    w = solver._support_window(n, 4.0)
+    L = 4.0 * mu.support_radius()
+    xs, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
+    win = solver._sample_mu(mu, Z[w, w], xs[1] - xs[0])
+    for edge in (win[0], win[-1], win[:, 0], win[:, -1]):
+        assert np.any(edge)
+    assert w.stop - w.start == n // 4
 
 
 def test_solver_config_validation():
