@@ -67,10 +67,14 @@ def eval_fc(spec, z):
     the disk, and equal to z + O(1/z) at infinity; this is the principal
     solution for the constant dilatation c on the unit disk.
     """
-    spec = _coerce_spec(spec)
-    out = z + spec.c * np.conj(z)
+    c = _coerce_spec(spec).c
     outside = np.abs(z) > 1.0
-    out[outside] = z[outside] + spec.c / z[outside]
+    n_out = np.count_nonzero(outside)
+    if n_out == z.size:
+        return z + c / z
+    out = z + c * np.conj(z)
+    if n_out:
+        out[outside] = z[outside] + c / z[outside]
     return out
 
 
@@ -141,11 +145,11 @@ def eval_fangle(spec, z):
     out = np.zeros(z.shape, dtype=complex)
     nz = z != 0
     zv = z[nz]
-    th = np.angle(zv) % _TWO_PI
+    th = np.arctan2(zv.imag, zv.real) % _TWO_PI
     first = th < spec.theta0
     w1 = np.where(first, (zv + spec.c * np.conj(zv)) / (1.0 + spec.c),
                   spec.a * zv)
-    arg1 = np.angle(w1) % _TWO_PI
+    arg1 = np.arctan2(w1.imag, w1.real) % _TWO_PI
     # points on the positive real axis can round to arg ~ 2*pi; snap them back
     arg1 = np.where(arg1 > _TWO_PI - 1e-12, 0.0, arg1)
     lift = np.where(first, arg1, th + (spec.theta1 - spec.theta0))

@@ -12,6 +12,7 @@ geometric bi-Lipschitz criterion, and an unbounded gap certifies failure.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,12 +85,19 @@ class BoundingAnnuli:
         return AnnulusSpec(self.image_center, self.R1, self.rho2)
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_circle(samples):
+    """``samples`` equally spaced points of the unit circle from 1, read-only."""
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
+    ring.flags.writeable = False
+    return ring
+
+
 def bounding_annuli(f, a: AnnulusSpec, circle_samples=1024) -> BoundingAnnuli:
     """Sample both boundary circles under f and extract min/max image radii."""
     if circle_samples < 64:
         raise ValueError("need at least 64 circle samples")
-    theta = np.linspace(0.0, 2.0 * math.pi, circle_samples, endpoint=False)
-    ring = np.exp(1j * theta)
+    ring = _unit_circle(circle_samples)
     fc0 = complex(np.asarray(f(np.array([a.center], dtype=complex))).ravel()[0])
     d1 = np.abs(np.asarray(f(a.center + a.r1 * ring)) - fc0)
     d2 = np.abs(np.asarray(f(a.center + a.r2 * ring)) - fc0)
@@ -224,9 +232,10 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     raised to it; annuli with a smaller inner radius are not tested, are
     counted in ``unresolved`` and fail the verdict.
 
-    Lipschitz ratios |f(x) - f(y)| / |x - y| over at most 4000 pairs of test
-    points are reported as corroborating diagnostics; they are not the
-    criterion. A non-finite ``bound`` raises ValueError.
+    Lipschitz ratios |f(x) - f(y)| / |x - y| over at most 4000 pairs of
+    distinct test points (``lipschitz_pairs`` counts them) are reported as
+    corroborating diagnostics; they are not the criterion. A non-finite
+    ``bound`` raises ValueError.
     """
     bound = float(bound)
     if not math.isfinite(bound):
@@ -279,6 +288,8 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
 
     rng = np.random.default_rng(seed)
     ii, jj = np.triu_indices(pts.size, k=1)
+    distinct = pts[ii] != pts[jj]  # a repeated point gives no ratio
+    ii, jj = ii[distinct], jj[distinct]
     if ii.size > 4000:
         keep = rng.choice(ii.size, size=4000, replace=False)
         ii, jj = ii[keep], jj[keep]

@@ -338,7 +338,8 @@ class GridMap:
     iteration_error_bound: float = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        # contiguous, so eval_gridmap gathers from a flat view of it
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.values.ndim != 2:
             raise ValueError("values must be 2D")
         if min(self.values.shape) < 2:
@@ -398,30 +399,41 @@ def eval_gridmap(gm: GridMap, z):
     ny, nx = gm.values.shape
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
-    out = np.empty(z.shape, dtype=complex)
 
-    inside = ((z.real >= xmin) & (z.real <= xmax)
-              & (z.imag >= ymin) & (z.imag <= ymax))
-    zi = z[inside]
-    if zi.size:
+    def bilinear(zi):
         # cell indices are clipped but the weights are not: in the half-cell
         # band between the outermost sample row and the box edge this
         # extrapolates linearly, keeping the identity part of the map exact
         fx = (zi.real - xmin) / hx - 0.5
         fy = (zi.imag - ymin) / hy - 0.5
-        ix = np.clip(np.floor(fx).astype(int), 0, nx - 2)
-        iy = np.clip(np.floor(fy).astype(int), 0, ny - 2)
+        ix = np.floor(fx)
+        iy = np.floor(fy)
+        np.minimum(np.maximum(ix, 0, out=ix), nx - 2, out=ix)
+        np.minimum(np.maximum(iy, 0, out=iy), ny - 2, out=iy)
         tx = fx - ix
         ty = fy - iy
-        v = gm.values
-        out[inside] = ((1 - tx) * (1 - ty) * v[iy, ix]
-                       + tx * (1 - ty) * v[iy, ix + 1]
-                       + (1 - tx) * ty * v[iy + 1, ix]
-                       + tx * ty * v[iy + 1, ix + 1])
-    zo = z[~inside]
-    if zo.size:
+        sx = 1 - tx
+        sy = 1 - ty
+        k = (iy * nx + ix).astype(np.intp)
+        v = gm.values.ravel()
+        return (sx * sy * v[k] + tx * sy * v[k + 1]
+                + sx * ty * v[k + nx] + tx * ty * v[k + nx + 1])
+
+    def tail(zo):
         zc = complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-        out[~inside] = zo + gm.tail / (zo - zc)
+        return zo + gm.tail / (zo - zc)
+
+    inside = ((z.real >= xmin) & (z.real <= xmax)
+              & (z.imag >= ymin) & (z.imag <= ymax))
+    n_in = np.count_nonzero(inside)
+    if n_in == z.size:
+        return bilinear(z)
+    if n_in == 0:
+        return tail(z)
+    out = np.empty(z.shape, dtype=complex)
+    out[inside] = bilinear(z[inside])
+    outside = ~inside
+    out[outside] = tail(z[outside])
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for annulus moduli, bounding annuli and the gap certifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,3 +304,15 @@ def test_default_r_max_is_four_diameters_of_a_large_test_set():
                               annuli_per_center=1, circle_samples=64)
     assert rep.r_max == pytest.approx(4 * 2 * math.sin(math.pi * 1000 / n),
                                       rel=1e-12)
+
+
+def test_certify_lipschitz_ratios_skip_repeated_test_points():
+    # a repeated center gave a 0/0 pair, whose NaN ratio nulled both bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = certify_bilipschitz(fc_map(0.5), [0.0, 0.0, 1.0], bound=3.0,
+                                  annuli_per_center=3)
+    assert math.isfinite(rep.lipschitz_min) and math.isfinite(rep.lipschitz_max)
+    assert rep.lipschitz_pairs == 2
+    assert rep.lipschitz_min == rep.lipschitz_max == pytest.approx(1.5)
+    assert rep.verdict
