@@ -4,12 +4,16 @@ The normalized solution is Phi = z + P where P is the Cauchy transform of
 h = dbar Phi, and h solves the fixed point h = mu * S h + mu with S the plane
 singular integral sending dbar-potentials to d-potentials. S is a Fourier
 multiplier of modulus one, so the Neumann iteration contracts in L2 at rate
-sup |mu|. The field is sampled, and h iterated, only on the window of cells
-that meet the support square; each sweep applies the n-by-n periodic S to
-that window as a cyclic convolution on an M-by-M grid, M about twice the
-window width (128 at n=256, 256 at n=512 with pad_factor 4): a forward
-FFT whose first pass runs on the window's rows only, a multiply by the
-cached kernel FFT, and an inverse FFT pruned to the window's lines, each
+sup |mu|. The field is sampled only on the window of cells that meet the
+support square, and h iterated only on the box of rows and columns where
+those samples are nonzero (the whole window for a centered disk, 32 by 32
+of its 64 by 64 cells for a quarter sector at n=256). Each sweep applies
+the n-by-n periodic S to that box as a cyclic convolution on an my-by-mx
+grid, the smallest 5-smooth size of at least 2 b - 1 per axis of b cells
+(at most 128 at n=256 and 256 at n=512 with pad_factor 4; 135-240 for
+the off-center disks of radius 0.5-1 and center within 0.5 at n=512): a
+forward FFT whose first pass runs on the box's rows only, a multiply by
+the cached kernel FFT, and an inverse FFT pruned to the box's lines, each
 1-D pass along contiguous lines of a spectrum kept in [x, y] layout.
 
 The iteration stops when the map has converged, not the density: a sweep
@@ -24,24 +28,37 @@ periodic spectral inverse: periodization of the 1/z kernel leaves an
 antilinear artifact of size ~ |total h| * |z| / box area, which would
 dominate the oracle error budget, while the cell kernel reproduces the decay
 P -> 0 at infinity and the 1/z far-field tail automatically. It is the same
-convolution as a sweep's, with the kernel placed to shift the result by the
-window's offset in the grid, so it maps h on the window to P on the grid
-(M = 320 at n=256, 640 at n=512 with pad_factor 4). No n-by-n coordinate
-grid is built: a warm solve's tracemalloc peak is 3.1, 12.3 and 49.0 MiB
-at n=256, 512 and 1024.
+convolution as a sweep's, on the window with the swept box written back
+into it, and with the kernel placed to shift the result by the window's
+offset in the grid, so it maps h on the window to P on the grid (M = 320
+at n=256, 640 at n=512 with pad_factor 4). No n-by-n coordinate grid is
+built: a warm solve's tracemalloc peak is 3.0, 12.0 and 48.0 MiB at
+n=256, 512 and 1024.
 
-The cells are square. One bounded cache lives for the life of the
-process: the FFT of each kernel, kept per (FFT grid shape, S period or
-none, shift), up to 4 entries, 2 per grid size. Both kernels are taken on
-a unit cell: conj(xi)/xi is scale-invariant, and the Cauchy kernel of a
-cell is its side times that of a unit one, so every cell side of one grid
-shares them. An entry is M^2 complex values in [x, y] layout: 1.0 MB for
-S and 6.6 MB for the Cauchy step at n=512 with pad_factor 4, 26 MB for
-the Cauchy step at n=1024. Building the S entry costs one n-by-n inverse
-FFT, the Cauchy one a real log and atan2 per corner of the half-integer
-lattice; each then takes one FFT.
-kappa is computed from the Cauchy entry once per grid and kept, one float
-per grid, in a second cache of up to 4 entries.
+The cells are square, and every kernel is taken on a unit cell:
+conj(xi)/xi is scale-invariant, and the Cauchy kernel of a cell is its
+side times that of a unit one, so every cell side of one grid shares
+them. Bounded caches live for the life of the process, each entry
+read-only, complex and in the [x, y] layout of the FFTs:
+  - the Cauchy kernel FFT per (FFT grid shape, shift), up to 2 entries:
+    1.6 MB at n=256, 6.6 MB at n=512 and 26 MB at n=1024 (pad_factor 4),
+    built from a real log and atan2 per corner of the half-integer lattice
+    and one FFT;
+  - the spatial torus S kernel per period, for the last 2 periods, at the
+    offsets the solve's window can reach: ifft2 of the multiplier read on
+    the window's cyclic grid, 128^2 values (260 KB) at n=256 and 256^2
+    (1.0 MB) at n=512 with pad_factor 4, built once per period from one
+    n-by-n inverse FFT pass and one pass per column kept;
+  - the S kernel FFT per (box FFT shape, period), up to 2 entries, each
+    a slice of the torus kernel and one FFT at the box's size, so a new
+    box never rebuilds the multiplier and never evicts the Cauchy entry.
+    A solve drops its box's entry when its sweeps are done: entries of a
+    size each field picks, kept across solves, split the heap's free space
+    and raised the benchmark's peak RSS by 5 MB at n=512.
+Between solves at n=512 they hold 7.6 MB, 6.6 of it the Cauchy entry,
+and a solve adds at most 1.0 MB. kappa is computed from the Cauchy entry
+once per grid and kept, one float per grid, in a cache of up to 4
+entries.
 """
 
 from __future__ import annotations
@@ -219,27 +236,70 @@ def _cauchy_kernel(my, mx):
     return K
 
 
-@functools.lru_cache(maxsize=4)
-def _kernel_hat(my, mx, period=None, shift=0):
-    """FFT of a convolution kernel on an my-by-mx cyclic grid; read-only.
+def _placed_hat(K, shift=0):
+    """FFT of a kernel K on its own my-by-mx cyclic grid; read-only.
 
-    The kernel is the torus S of ``period`` or, without one, the Cauchy
-    kernel of a unit square cell, taken at the offsets -(m // 2) ... m -
-    m // 2 - 1 per axis and placed so that offset d sits at index
-    (d + shift) mod m. The FFT is kept mx-by-my, in the [x, y] layout of
-    _fft_t; multiplied into the FFT of data placed at the grid's origin
-    (_convolve), it convolves the data with the kernel and moves the result
-    ``shift`` cells along each axis.
+    K holds the kernel at the offsets -(m // 2) ... m - m // 2 - 1 per
+    axis; it is placed so that offset d sits at index (d + shift) mod m. The
+    FFT is kept mx-by-my, in the [x, y] layout of _fft_t; multiplied into
+    the FFT of data placed at the grid's origin (_convolve), it convolves
+    the data with the kernel and moves the result ``shift`` cells along
+    each axis.
     """
-    if period is None:
-        K = _cauchy_kernel(my, mx)
-    else:
-        K = _s_kernel(my, mx, period)
+    my, mx = K.shape
     K = np.roll(K, (shift - my // 2, shift - mx // 2), axis=(0, 1))
     khat = _fft_t(K, my, mx)
     del K
     khat.flags.writeable = False
     return khat
+
+
+@functools.lru_cache(maxsize=2)
+def _cauchy_hat(my, mx, shift=0):
+    """_placed_hat of the unit-cell Cauchy kernel on an my-by-mx grid."""
+    return _placed_hat(_cauchy_kernel(my, mx), shift)
+
+
+_S_TORUS = {}
+
+
+def _s_torus(my, mx, period):
+    """The torus S kernel of ``period``, read-only, reaching an my-by-mx grid.
+
+    One spatial kernel is kept per period, for the last two periods asked
+    for, at the widest offsets asked for so far (those of _s_kernel's
+    widest grid): a request beyond them builds it again, wider. Every value
+    is ifft2's, whatever the width, so a slice of it is _s_kernel's value
+    bit for bit.
+    """
+    K = _S_TORUS.pop(period, None)
+    if K is None or K.shape[0] < my or K.shape[1] < mx:
+        if K is not None:
+            my, mx = max(my, K.shape[0]), max(mx, K.shape[1])
+        K = _s_kernel(my, mx, period)
+        K.flags.writeable = False
+    _S_TORUS[period] = K
+    if len(_S_TORUS) > 2:
+        del _S_TORUS[next(iter(_S_TORUS))]
+    return K
+
+
+@functools.lru_cache(maxsize=2)
+def _s_hat(my, mx, period):
+    """_placed_hat of the torus S of ``period`` on an my-by-mx cyclic grid.
+
+    The kernel is the central my-by-mx slice of the period's _s_torus, so
+    no call after the first on a period builds its multiplier again.
+    """
+    T = _s_torus(my, mx, period)
+    y0 = T.shape[0] // 2 - my // 2
+    x0 = T.shape[1] // 2 - mx // 2
+    return _placed_hat(T[y0:y0 + my, x0:x0 + mx])
+
+
+def _s_size(b, p):
+    """Cyclic grid size of S along an axis of b window cells, period p."""
+    return min(p, _next_5_smooth(2 * b - 1))
 
 
 def singular_transform(g, period=None):
@@ -258,9 +318,9 @@ def singular_transform(g, period=None):
     the window. Its output and input offsets lie within the window size, so
     the torus kernel read onto a cyclic grid of the smallest 5-smooth size
     of at least 2 b - 1 cells per axis (b the window size), or of the
-    period if that is smaller, applies it exactly: 128 at n=256 and 256 at
-    n=512 with pad_factor 4. The periodization warning treats the window as
-    centered in its period.
+    period if that is smaller, applies it exactly: at most 128 at n=256
+    and 256 at n=512 for the solver's windows with pad_factor 4. The
+    periodization warning treats the window as centered in its period.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2:
@@ -270,9 +330,8 @@ def singular_transform(g, period=None):
     if wy > ny or wx > nx:
         raise ValueError(f"window {g.shape} exceeds its period {(ny, nx)}")
     _warn_if_periodized(g, ny, nx)
-    my = min(ny, _next_5_smooth(2 * wy - 1))
-    mx = min(nx, _next_5_smooth(2 * wx - 1))
-    return _convolve(g, _kernel_hat(my, mx, period=(ny, nx)), wy, wx)
+    khat_t = _s_hat(_s_size(wy, ny), _s_size(wx, nx), (ny, nx))
+    return _convolve(g, khat_t, wy, wx)
 
 
 def cauchy_transform(g, h, border=0):
@@ -291,7 +350,7 @@ def cauchy_transform(g, h, border=0):
     """
     g = np.asarray(g, dtype=complex)
     wy, wx = g.shape
-    khat_t = _kernel_hat(*(_cauchy_size(m, border) for m in g.shape),
+    khat_t = _cauchy_hat(*(_cauchy_size(m, border) for m in g.shape),
                          shift=border)
     return _convolve(g * h, khat_t, wy + 2 * border, wx + 2 * border)
 
@@ -312,7 +371,7 @@ def _cauchy_gain(m, border):
     entry the Cauchy step uses, so no other entry is built.
     """
     M = _cauchy_size(m, border)
-    khat = _kernel_hat(M, M, shift=border)
+    khat = _cauchy_hat(M, M, shift=border)
     return math.sqrt(np.vdot(khat, khat).real / khat.size)
 
 
@@ -336,6 +395,7 @@ class GridMap:
     observed_rate: float = None
     sup_mu: float = None
     iteration_error_bound: float = None
+    sweep_cells: tuple = None
 
     def __post_init__(self):
         # contiguous, so eval_gridmap gathers from a flat view of it
@@ -378,7 +438,9 @@ class GridMap:
                 "timings_ms": self.timings_ms,
                 "observed_rate": self.observed_rate,
                 "sup_mu": self.sup_mu,
-                "iteration_error_bound": self.iteration_error_bound}
+                "iteration_error_bound": self.iteration_error_bound,
+                "sweep_cells": (None if self.sweep_cells is None
+                                else list(self.sweep_cells))}
 
     def save(self, path):
         """Write a QCMAP1 file: extra header bbox and tail, six float64."""
@@ -479,9 +541,10 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     supports.
 
     Each sweep bounds the change still to come in Phi. The torus S is
-    unimodular and 0 at the zero frequency, and restricting it to the window
-    does not raise its norm, so the sweep map contracts in l2 at k = sup
-    |mu| on the grid and ||h_inf - h_j||_2 <= k / (1 - k) ||h_j - h_j-1||_2.
+    unimodular and 0 at the zero frequency, and restricting it to the
+    swept box does not raise its norm, so the sweep map contracts in l2 at
+    k = sup |mu| on the grid and
+    ||h_inf - h_j||_2 <= k / (1 - k) ||h_j - h_j-1||_2.
     With s the cell side, each value of P is s times the inner product of h
     with part of the unit-cell Cauchy kernel, so by Cauchy-Schwarz and
     Parseval it moves by at most kappa ||dh||_2, kappa = s ||K_hat||_F / M
@@ -504,11 +567,18 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
 
     Every iterate vanishes off the support of the sampled field, which lies
     in the window of cells meeting the open square (-r, r)^2 (r the support
-    radius), so the field is sampled, h iterated and its Cauchy transform
-    taken only on that window; the transform returns P on the whole grid.
-    The result records the time of each phase, the observed contraction rate
-    (geometric mean of successive residual ratios; None after one sweep or
-    a zero first residual) and sup |mu| over the grid, its theoretical bound.
+    radius), so the field is sampled and the Cauchy transform of h taken
+    only on that window; the transform returns P on the whole grid. h is
+    iterated only on the box of rows and columns where the samples are
+    nonzero (the window for an all-zero field), whose [rows, cols] the
+    result records as ``sweep_cells``; the iterates, and so the stop, are
+    the window's up to round-off, and a box equal to the window sweeps it
+    bit for bit as the window. The result records the time of each phase
+    (``kernels`` is the build or fetch of the kernels before the first
+    sweep: the box's S entry every solve, the Cauchy kernel and the torus S
+    once per grid), the observed contraction rate (geometric mean of
+    successive residual ratios; None after one sweep or a zero first
+    residual) and sup |mu| over the grid, its theoretical bound.
     """
     cfg = cfg or SolverConfig()
     rad = mu.support_radius()
@@ -525,17 +595,36 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     mu_win = _sample_mu(mu, xs[None, w] + 1j * xs[w, None], xs[1] - xs[0])
     t1 = time.perf_counter()
 
+    # every iterate vanishes where the samples do, so the loop sweeps only
+    # the box of rows and columns where they are nonzero; an all-zero field
+    # sweeps the whole window
+    rows = np.flatnonzero(mu_win.any(axis=1))
+    cols = np.flatnonzero(mu_win.any(axis=0))
+    box = np.s_[:, :]
+    if rows.size:
+        box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    mu_box = np.ascontiguousarray(mu_win[box])
+    # the kernels, before the first sweep: the Cauchy step's (through its
+    # l2 gain) and the torus S, built once per grid, and the box's S entry,
+    # sliced from a torus that reaches the whole window so that every box
+    # of this grid shares it
+    b = w.stop - w.start
+    kappa = h * _cauchy_gain(b, w.start)
+    reach = _s_size(b, n)
+    _s_torus(reach, reach, (n, n))
+    _s_hat(*(_s_size(m, n) for m in mu_box.shape), (n, n))
+    t2 = time.perf_counter()
+
     # a step d bounds the change still to come in Phi by gain * ||d||_2;
     # k >= 1 can only come from rounding, and then the bound never stops
-    k = float(np.abs(mu_win).max(initial=0.0))
-    kappa = h * _cauchy_gain(w.stop - w.start, w.start)
+    k = float(np.abs(mu_box).max(initial=0.0))
     gain = kappa * k / (1.0 - k) if k < 1.0 else math.inf
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about
-    x = mu_win
+    x = mu_box
     history = []
     for iterations in range(1, cfg.max_iter + 1):
-        nxt = mu_win * singular_transform(x, period=(n, n)) + mu_win
+        nxt = mu_box * singular_transform(x, period=(n, n)) + mu_box
         d = nxt - x
         residual = float(np.abs(d).max(initial=0.0))
         bound = gain * math.sqrt(np.vdot(d, d).real)
@@ -548,13 +637,19 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
             f"no convergence after {cfg.max_iter} iterations, "
             f"residual {residual:.3e}, error bound {bound:.3e}",
             residual=residual, iterations=cfg.max_iter, error_bound=bound)
-    t2 = time.perf_counter()
-
-    # + copies P out of the taller FFT buffer, so the map does not pin it
-    P = cauchy_transform(x, h, border=w.start) + xs[None, :]
-    P += 1j * xs[:, None]
-    tail = complex(x.sum() * h * h / math.pi)
     t3 = time.perf_counter()
+    # a box's kernel FFT does not outlive its solve: kept across solves,
+    # entries of a size each field picks split the heap's free space
+    _s_hat.cache_clear()
+
+    h_win = np.zeros_like(mu_win)
+    h_win[box] = x
+    del x, nxt, d
+    # + copies P out of the taller FFT buffer, so the map does not pin it
+    P = cauchy_transform(h_win, h, border=w.start) + xs[None, :]
+    P += 1j * xs[:, None]
+    tail = complex(h_win.sum() * h * h / math.pi)
+    t4 = time.perf_counter()
     rate = None
     if len(history) > 1 and history[0] > 0:
         rate = (history[-1] / history[0]) ** (1.0 / (len(history) - 1))
@@ -562,9 +657,11 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
                    iterations=iterations, final_residual=residual,
                    residual_history=tuple(history),
                    timings_ms={"sample": 1e3 * (t1 - t0),
-                               "iterate": 1e3 * (t2 - t1),
-                               "cauchy": 1e3 * (t3 - t2)},
-                   observed_rate=rate, sup_mu=k, iteration_error_bound=bound)
+                               "kernels": 1e3 * (t2 - t1),
+                               "iterate": 1e3 * (t3 - t2),
+                               "cauchy": 1e3 * (t4 - t3)},
+                   observed_rate=rate, sup_mu=k, iteration_error_bound=bound,
+                   sweep_cells=mu_box.shape)
 
 
 def finite_difference_mu(gm: GridMap):

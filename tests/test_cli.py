@@ -155,7 +155,8 @@ def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):
     assert rc == 0
     res = rep["result"]
     assert res["iterations"] > 200
-    assert set(res["timings_ms"]) == {"sample", "iterate", "cauchy"}
+    assert set(res["timings_ms"]) == {"sample", "kernels", "iterate",
+                                      "cauchy"}
     assert 0.85 < res["observed_rate"] < 0.95
     assert res["sup_mu"] == pytest.approx(0.95)
 

@@ -8,6 +8,7 @@ input field.
 
 import math
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -53,6 +54,13 @@ def _bump_grid(n=256, L=4.0, center=0.0, sigma=0.5):
     g = np.exp(-np.abs(Z - center) ** 2 / sigma**2).astype(complex)
     h = 2 * L / n
     return Z, g, h
+
+
+def _clear_kernel_caches():
+    solver._cauchy_hat.cache_clear()
+    solver._cauchy_gain.cache_clear()
+    solver._s_hat.cache_clear()
+    solver._S_TORUS.clear()
 
 
 def _solver_like_density(n):
@@ -209,7 +217,7 @@ def test_transform_caches_match_fresh_calls():
 
     fresh = []
     for shape, h in cases:
-        solver._kernel_hat.cache_clear()
+        _clear_kernel_caches()
         fresh.append(transforms(shape, h))
     for _ in range(2):
         for (shape, h), refs in zip(cases, fresh):
@@ -218,23 +226,32 @@ def test_transform_caches_match_fresh_calls():
 
 
 def test_transform_caches_are_read_only():
-    solver._kernel_hat.cache_clear()
-    torus = solver._kernel_hat(64, 64, period=(64, 64))
-    folded = solver._kernel_hat(36, 36, period=(64, 64))
-    khat = solver._kernel_hat(128, 128)
-    shifted = solver._kernel_hat(90, 90, shift=23)
-    for arr in (torus, folded, khat, shifted):
+    _clear_kernel_caches()
+    torus = solver._s_hat(64, 64, (64, 64))
+    folded = solver._s_hat(36, 36, (64, 64))
+    khat = solver._cauchy_hat(128, 128)
+    shifted = solver._cauchy_hat(90, 90, shift=23)
+    for arr in (torus, folded, khat, shifted, solver._S_TORUS[(64, 64)]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
 
-def test_solve_caches_one_kernel_per_transform():
-    # the S sweeps and the Cauchy step share the one kernel cache, one
-    # entry each per grid size
-    solver._kernel_hat.cache_clear()
-    solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64, pad_factor=4.0))
-    assert solver._kernel_hat.cache_info().currsize == 2
+def test_solve_caches_one_kernel_per_transform(monkeypatch):
+    # a solve builds one kernel FFT per transform and keeps the Cauchy
+    # entry and one torus S kernel for its period; its box's S entry, used
+    # by every sweep, goes with the solve
+    _clear_kernel_caches()
+    built = []
+    placed = solver._placed_hat
+    monkeypatch.setattr(solver, "_placed_hat",
+                        lambda *a: built.append(a) or placed(*a))
+    gm = solve_principal(DiskConstant(c=0.5),
+                         SolverConfig(grid_n=64, pad_factor=4.0))
+    assert gm.iterations > 2 and len(built) == 2
+    assert solver._cauchy_hat.cache_info().currsize == 1
+    assert solver._s_hat.cache_info().currsize == 0
+    assert list(solver._S_TORUS) == [(64, 64)]
 
 
 @pytest.mark.parametrize("period, shape", [
@@ -281,14 +298,14 @@ def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, h):
 
     my, mx = (min(p, solver._next_5_smooth(2 * b - 1))
               for p, b in zip(period, shape))
-    khat = solver._kernel_hat(my, mx, period=period)
+    khat = solver._s_hat(my, mx, period)
     assert khat.shape == (mx, my)
     ref = unpruned(w, (my, mx), khat)[:wy, :wx]
     assert np.array_equal(singular_transform(w, period), ref)
 
     border = 3
     M = [solver._next_5_smooth(2 * (b + border)) for b in shape]
-    khat = solver._kernel_hat(*M, shift=border)
+    khat = solver._cauchy_hat(*M, shift=border)
     ref = unpruned(w * h, M, khat)[:wy + 2 * border, :wx + 2 * border]
     assert np.array_equal(cauchy_transform(w, h, border), ref)
 
@@ -336,7 +353,7 @@ def test_solve_matches_full_grid_neumann_loop(pad_factor):
 
 def test_solve_reports_phases_and_rate():
     gm = solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64))
-    assert set(gm.timings_ms) == {"sample", "iterate", "cauchy"}
+    assert set(gm.timings_ms) == {"sample", "kernels", "iterate", "cauchy"}
     assert all(v >= 0 for v in gm.timings_ms.values())
     hist = np.array(gm.residual_history)
     ratios = hist[1:] / hist[:-1]
@@ -441,12 +458,11 @@ def test_error_bound_is_kernel_norm_times_last_step():
     # the bound is h ||K||_2 k / (1 - k) ||last step||_2, with ||K||_2 the
     # l2 norm of the unit-cell Cauchy kernel, read by Parseval from the
     # cache entry the Cauchy step uses, so a solve adds no entry
-    solver._kernel_hat.cache_clear()
-    solver._cauchy_gain.cache_clear()
+    _clear_kernel_caches()
     mu, cfg = DiskConstant(c=0.7j, radius=0.8), SolverConfig(grid_n=64,
                                                                tol=1e-4)
     gm = solve_principal(mu, cfg)
-    assert solver._kernel_hat.cache_info().currsize == 2
+    assert solver._cauchy_hat.cache_info().currsize == 1
     n = cfg.grid_n
     w = solver._support_window(n, cfg.pad_factor)
     b = w.stop - w.start
@@ -530,6 +546,174 @@ def test_support_window_is_tight(n):
     for edge in (win[0], win[-1], win[:, 0], win[:, -1]):
         assert np.any(edge)
     assert w.stop - w.start == n // 4
+
+
+def _window_loop(mu, cfg):
+    """The Neumann loop on the whole support window, the reference for the
+    solver's sweeps on the samples' nonzero box: iterations, map, tail and
+    the window's samples."""
+    n = cfg.grid_n
+    L = cfg.pad_factor * mu.support_radius()
+    xs, _, Z = grid_coordinates((-L, -L, L, L), (n, n))
+    h = 2 * L / n
+    w = solver._support_window(n, cfg.pad_factor)
+    mu_win = solver._sample_mu(mu, Z[w, w], xs[1] - xs[0])
+    k = float(np.abs(mu_win).max())
+    gain = h * solver._cauchy_gain(w.stop - w.start, w.start) * k / (1 - k)
+    x = mu_win
+    for it in range(1, cfg.max_iter + 1):
+        nxt = mu_win * singular_transform(x, period=(n, n)) + mu_win
+        d = nxt - x
+        x = nxt
+        if cfg.tol is None:
+            if gain * np.linalg.norm(d) <= 0.01 * h:
+                break
+        elif np.abs(d).max() <= cfg.tol:
+            break
+    P = cauchy_transform(x, h, border=w.start) + Z
+    return it, P, x.sum() * h * h / math.pi, mu_win
+
+
+def _single_cell_disk(pad_factor, n=64):
+    # a disk inside one cell of the grid its support radius 1 gives: it
+    # holds the cell's center, and no sample point of another cell
+    h = 2 * pad_factor / n
+    xs = -pad_factor + (np.arange(n) + 0.5) * h
+    i = np.flatnonzero(xs <= 1 - h / 2)[-1]
+    center = complex(xs[i], xs[n // 2])
+    return DiskConstant(c=0.6 + 0.2j, center=center, radius=1 - abs(center))
+
+
+_BOX_FIELDS = {
+    **{f"disk-q{q}": DiskConstant(
+        c=0.6 - 0.3j, radius=0.5,
+        center=0.4 * np.exp(1j * math.pi * (q - 0.5) / 2))
+       for q in (1, 2, 3, 4)},
+    **{f"sector-{t:.2f}-{b}": SectorConstant(c=0.8j, theta0=t, beta=b,
+                                             radius=1.0)
+       for t in (math.pi / 4, math.pi / 2, 3 * math.pi / 2)
+       for b in (0.0, 1.0, -2.5)},
+    "holder-masked": _holder_grid(masked=True),
+    "two-disks": Composite((
+        DiskConstant(c=0.5, center=-0.6 + 0.5j, radius=0.3),
+        DiskConstant(c=-0.4j, center=0.5 - 0.2j, radius=0.2))),
+    "single-cell": None,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, None])
+@pytest.mark.parametrize("pad_factor", [2.0, 4.0])
+@pytest.mark.parametrize("name", sorted(_BOX_FIELDS))
+def test_box_sweeps_match_window_sweeps(name, pad_factor, tol):
+    # sweeping only the samples' nonzero box changes the FFT sizes, not the
+    # iterates: same stop, same map and tail to round-off
+    mu = _BOX_FIELDS[name] or _single_cell_disk(pad_factor)
+    cfg = SolverConfig(grid_n=64, pad_factor=pad_factor, tol=tol)
+    gm = solve_principal(mu, cfg)
+    it, P, tail, mu_win = _window_loop(mu, cfg)
+    rows, cols = (np.flatnonzero(mu_win.any(axis=a)) for a in (1, 0))
+    assert gm.sweep_cells == (rows[-1] + 1 - rows[0], cols[-1] + 1 - cols[0])
+    assert gm.to_dict()["sweep_cells"] == list(gm.sweep_cells)
+    if name == "single-cell":
+        assert gm.sweep_cells == (1, 1)
+    assert gm.iterations == it
+    assert np.abs(gm.values - P).max() <= 1e-13
+    assert abs(gm.tail - tail) <= 1e-13
+
+
+def test_window_box_takes_the_window_path_bit_for_bit():
+    # a centered disk's samples reach every edge of the window, so its
+    # sweeps are the window's, bit for bit
+    mu, cfg = DiskConstant(c=0.5 - 0.2j), SolverConfig(grid_n=128)
+    gm = solve_principal(mu, cfg)
+    it, P, tail, mu_win = _window_loop(mu, cfg)
+    assert gm.sweep_cells == mu_win.shape == (32, 32)
+    assert gm.iterations == it
+    assert np.array_equal(gm.values, P)
+    assert gm.tail == tail
+
+
+def test_zero_field_sweeps_the_window():
+    gm = solve_principal(DiskConstant(c=0.0), SolverConfig(grid_n=64))
+    assert gm.iterations == 1
+    assert gm.sweep_cells == (16, 16)
+
+
+def test_kernel_builds_are_timed_apart_from_the_sweeps(monkeypatch):
+    # the one-off kernels are built before the loop, so their time lands
+    # in timings_ms["kernels"], not in "iterate"
+    _clear_kernel_caches()
+    calls = []
+
+    def slow(build):
+        def built(*args):
+            calls.append(build.__name__)
+            time.sleep(0.1)
+            return build(*args)
+        return built
+
+    for name in ("_cauchy_kernel", "_s_kernel"):
+        monkeypatch.setattr(solver, name, slow(getattr(solver, name)))
+    gm = solve_principal(SectorConstant(c=0.8j, theta0=1.0, radius=1.0),
+                         SolverConfig(grid_n=64))
+    assert sorted(calls) == ["_cauchy_kernel", "_s_kernel"]
+    assert gm.timings_ms["kernels"] >= 200
+    assert gm.timings_ms["iterate"] < 100
+
+
+def test_boxes_of_one_grid_share_the_kernel_builds(monkeypatch):
+    # twelve boxes on one grid: the Cauchy kernel and the torus S are built
+    # once, each box's kernel FFT is sliced from that torus, and no entry
+    # is writable
+    _clear_kernel_caches()
+    calls = []
+
+    def counted(build):
+        def built(*args):
+            calls.append(build.__name__)
+            return build(*args)
+        return built
+
+    for name in ("_cauchy_kernel", "_s_kernel"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    cfg = SolverConfig(grid_n=128)
+    boxes = set()
+    for theta0 in (0.4, 1.0, 2.0, 4.0):
+        for beta in (0.2, 1.3, 3.6):
+            mu = SectorConstant(c=0.6j, theta0=theta0, beta=beta, radius=1.0)
+            boxes.add(solve_principal(mu, cfg).sweep_cells)
+    assert len(boxes) == 12
+    assert sorted(calls) == ["_cauchy_kernel", "_s_kernel"]
+    assert list(solver._S_TORUS) == [(128, 128)]
+    w = solver._support_window(128, cfg.pad_factor)
+    m = solver._cauchy_size(w.stop - w.start, w.start)
+    box = [solver._s_size(b, 128)
+           for b in solve_principal(mu, cfg).sweep_cells]
+    for arr in (solver._S_TORUS[(128, 128)],
+                solver._cauchy_hat(m, m, shift=w.start),
+                solver._s_hat(*box, (128, 128))):
+        assert not arr.flags.writeable
+    assert len(calls) == 2
+    solve_principal(DiskConstant(c=0.5), SolverConfig(grid_n=64))
+    assert calls.count("_s_kernel") == 2
+    assert set(solver._S_TORUS) == {(128, 128), (64, 64)}
+
+
+@pytest.mark.parametrize("my, mx, period", [
+    (64, 64, (128, 128)), (27, 64, (128, 128)), (45, 16, (128, 128)),
+    (1, 1, (128, 128)), (64, 64, (64, 64)), (25, 45, (64, 96)),
+])
+def test_box_kernel_fft_is_the_full_kernel_fft_bit_for_bit(my, mx, period):
+    # a box kernel sliced from a wider torus kernel has the FFT of the
+    # kernel built for the box alone
+    _clear_kernel_caches()
+    solver._s_torus(*period, period)
+    K = solver._s_kernel(my, mx, period)
+    ref = solver._fft_t(np.roll(K, (-(my // 2), -(mx // 2)), axis=(0, 1)),
+                        my, mx)
+    khat = solver._s_hat(my, mx, period)
+    assert not khat.flags.writeable
+    assert np.array_equal(khat, ref)
 
 
 def test_solver_config_validation():
