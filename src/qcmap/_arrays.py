@@ -1,6 +1,6 @@
 """Shared edge rules: the pointwise evaluator contract, the file writer, the
-grid codec, grid cell centers and the checks on a Beltrami coefficient and a
-sector opening.
+grid codec, grid cell centers and the checks on a Beltrami coefficient, a
+sector opening and a count.
 
 ``pointwise`` gives every evaluator ``fn(obj, z, ...)`` one shape contract:
 the body sees a 1-D complex array, a scalar input returns a Python scalar
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import struct
 
@@ -60,6 +61,14 @@ def opening(theta0, error=ValueError):
     if not 0.0 < theta0 < 2.0 * math.pi:
         raise error(f"theta0 must lie in (0, 2*pi), got {theta0}")
     return theta0
+
+
+def count(n, name):
+    """``n`` as an int; raises ValueError unless it is an integer (operator.index)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
 
 
 def write_file(path, *chunks):

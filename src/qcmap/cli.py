@@ -331,8 +331,8 @@ def build_parser():
     ps.add_argument("--grid-n", type=int, default=SolverConfig.grid_n)
     ps.add_argument("--pad-factor", type=_finite, default=SolverConfig.pad_factor)
     ps.add_argument("--tol", type=_finite, default=SolverConfig.tol,
-                    help="stop when the sup step of the density is <= tol "
-                         "(default: stop when the bound on Phi is <= 0.01*h, "
+                    help="stop when the bound on the change still to come "
+                         "in Phi is <= tol, in map units (default: 0.01*h, "
                          "h the cell side)")
     ps.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     ps.add_argument("--out", required=True, help="output .qcmap path")

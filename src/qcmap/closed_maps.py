@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import coefficient, opening, pointwise
+from ._arrays import coefficient, count, opening, pointwise
 
 _TWO_PI = 2.0 * math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
@@ -212,6 +212,7 @@ def allowable_locus(theta0, samples=256):
     the unit circle; they are dropped.
     """
     theta0 = opening(theta0)
+    samples = count(samples, "samples")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if abs(theta0 - math.pi) < 1e-15:

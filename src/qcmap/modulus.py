@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import count
 from .closed_maps import DiskMapSpec, eval_fc_inverse, fc_map
 
 
@@ -95,7 +96,7 @@ def _unit_circle(samples):
 
 def bounding_annuli(f, a: AnnulusSpec, circle_samples=1024) -> BoundingAnnuli:
     """Sample both boundary circles under f and extract min/max image radii."""
-    if circle_samples < 64:
+    if count(circle_samples, "circle_samples") < 64:
         raise ValueError("need at least 64 circle samples")
     ring = _unit_circle(circle_samples)
     fc0 = complex(np.asarray(f(np.array([a.center], dtype=complex))).ravel()[0])
@@ -254,7 +255,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         r_min = max(1e-4 * diam, resolution) if r_min is None else float(r_min)
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    if annuli_per_center < 1:
+    if count(annuli_per_center, "annuli_per_center") < 1:
         raise ValueError("annuli_per_center must be >= 1")
 
     delta = math.log(r_max / r_min) / annuli_per_center

@@ -16,11 +16,8 @@ forward FFT whose first pass runs on the box's rows only, a multiply by
 the cached kernel FFT, and an inverse FFT pruned to the box's lines, each
 1-D pass along contiguous lines of a spectrum kept in [x, y] layout.
 
-The iteration stops when the map has converged, not the density: a sweep
-that moves h by dh leaves Phi at most kappa k / (1 - k) ||dh||_2 from its
-limit, k = sup |mu| and kappa the l2 gain of the Cauchy step, and by
-default the solve stops once that bound is 0.01 of a cell side (see
-solve_principal). An explicit tol stops on the sup-norm step of h instead.
+The iteration stops when the map has converged, not the density: once a
+bound on the change still to come in Phi is at most tol (solve_principal).
 
 The final Cauchy step is done as a free-space convolution with the exactly
 integrated per-cell kernel on a zero-padded grid rather than with the
@@ -72,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import cell_centers, pointwise, read_grid, write_grid
+from ._arrays import cell_centers, count, pointwise, read_grid, write_grid
 
 SOLVER_MAGIC = b"QCMAP1\x00\x00"
 
@@ -92,13 +89,25 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid and stop rule of solve_principal.
+
+    The grid has grid_n square cells per side, a power of two >= 64, on a
+    box pad_factor times the field's support radius. tol is in map units:
+    the solve stops at the first sweep whose iteration_error_bound, a bound
+    on the change still to come in Phi, is at most tol (None: 0.01 of a
+    cell side). After max_iter sweeps without that it raises
+    ConvergenceError.
+    """
+
     grid_n: int = 512
     pad_factor: float = 4.0
     tol: float = None
     max_iter: int = 1000
 
     def __post_init__(self):
-        n = self.grid_n
+        n = count(self.grid_n, "grid_n")
+        object.__setattr__(self, "grid_n", n)
+        object.__setattr__(self, "max_iter", count(self.max_iter, "max_iter"))
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
         if not 2.0 <= self.pad_factor < math.inf:
@@ -561,9 +570,8 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
       - outside the box the tail term moves by s^2 / pi times the sum of dh
         over z - center, at most s^2 b / (pi L) ||dh||_2 on a b-by-b
         window: 0.16 s ||dh||_2 at pad_factor 4, 0.34 s ||dh||_2 at most.
-    With ``tol`` None (the default) the iteration stops at the first sweep
-    whose bound is at most 0.01 s; with a ``tol``, at the first whose
-    sup-norm step of h is at most tol.
+    The iteration stops at the first sweep whose bound is at most ``tol``,
+    or 0.01 s with ``tol`` None (the default).
 
     Every iterate vanishes off the support of the sampled field, which lies
     in the window of cells meeting the open square (-r, r)^2 (r the support
@@ -619,6 +627,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     # k >= 1 can only come from rounding, and then the bound never stops
     k = float(np.abs(mu_box).max(initial=0.0))
     gain = kappa * k / (1.0 - k) if k < 1.0 else math.inf
+    target = 0.01 * h if cfg.tol is None else cfg.tol
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about
     x = mu_box
@@ -630,7 +639,7 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
         bound = gain * math.sqrt(np.vdot(d, d).real)
         history.append(residual)
         x = nxt
-        if (bound <= 0.01 * h) if cfg.tol is None else (residual <= cfg.tol):
+        if bound <= target:
             break
     else:
         raise ConvergenceError(

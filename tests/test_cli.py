@@ -146,8 +146,8 @@ def test_disk_oracle_error_keeps_the_whole_grid_arithmetic(center, radius,
 
 
 def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):
-    # |c| = 0.95 needs 231 sweeps at n=256 to a 1e-8 step, past the old
-    # default of 200
+    # |c| = 0.95 needs 276 sweeps at n=256 to bound the change still to
+    # come in Phi by 1e-8, past the old default max_iter of 200
     fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.95, 0],
                                   "center": [0, 0], "radius": 1.0})
     rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "256",
@@ -155,6 +155,7 @@ def test_solve_reports_phases_at_default_max_iter(tmp_path, capsys):
     assert rc == 0
     res = rep["result"]
     assert res["iterations"] > 200
+    assert res["iteration_error_bound"] <= 1e-8
     assert set(res["timings_ms"]) == {"sample", "kernels", "iterate",
                                       "cauchy"}
     assert 0.85 < res["observed_rate"] < 0.95

@@ -277,8 +277,9 @@ def test_allowable_locus_reaches_the_unit_circle():
 def test_allowable_locus_contains_zero_and_rejects_no_samples():
     # an odd sample count puts the middle sample at c = 0
     assert abs(allowable_locus(math.pi / 3, samples=5).points[2]) < 1e-15
-    with pytest.raises(ValueError):
-        allowable_locus(math.pi / 3, samples=0)
+    for samples in (0, 2.5, 4.0, math.nan, "4"):
+        with pytest.raises(ValueError):
+            allowable_locus(math.pi / 3, samples=samples)
 
 
 _OPENING_MARGIN = 1e-6

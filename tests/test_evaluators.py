@@ -198,5 +198,7 @@ def test_unit_circle_is_cached_read_only_and_exact(samples):
 
 
 def test_bounding_annuli_rejects_too_few_circle_samples():
-    with pytest.raises(ValueError):
-        bounding_annuli(fc_map(0.5), AnnulusSpec(0, 0.5, 2.0), circle_samples=63)
+    for samples in (63, 100.5):
+        with pytest.raises(ValueError):
+            bounding_annuli(fc_map(0.5), AnnulusSpec(0, 0.5, 2.0),
+                            circle_samples=samples)

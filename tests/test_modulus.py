@@ -241,6 +241,12 @@ def test_certify_requires_radii_for_single_center():
     rep = certify_bilipschitz(identity_map, [0.0], bound=0.5,
                               r_min=0.01, r_max=1.0)
     assert rep.verdict
+    # counts are integers where they enter, not where range() meets them
+    for kw in ({"annuli_per_center": 2.5}, {"annuli_per_center": math.nan},
+               {"circle_samples": 100.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            certify_bilipschitz(identity_map, [0.0], bound=0.5, r_min=0.01,
+                                r_max=1.0, **kw)
 
 
 def test_certify_report_dict_shape():

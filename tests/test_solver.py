@@ -338,12 +338,16 @@ def test_solve_matches_full_grid_neumann_loop(pad_factor):
     xs, _, Z = grid_coordinates(gm.bbox, n)
     h = (gm.bbox[2] - gm.bbox[0]) / cfg.grid_n
     m = solver._sample_mu(mu, Z, xs[1] - xs[0])
+    w = solver._support_window(cfg.grid_n, pad_factor)
+    k = float(np.abs(m).max())
+    gain = h * solver._cauchy_gain(w.stop - w.start, w.start) * k / (1 - k)
     cur = m.copy()
     for it in range(1, cfg.max_iter + 1):
         nxt = m * singular_transform(cur) + m
-        res = np.abs(nxt - cur).max()
+        d = nxt - cur
+        res = np.abs(d).max()
         cur = nxt
-        if res <= cfg.tol:
+        if gain * np.linalg.norm(d) <= cfg.tol:
             break
     assert gm.iterations == it
     assert gm.final_residual == pytest.approx(res, rel=1e-12)
@@ -365,11 +369,12 @@ def test_solve_reports_phases_and_rate():
 
 
 def test_solve_high_dilatation_at_default_max_iter():
-    # |c| = 0.95 needs 231 sweeps at n=256 to a 1e-8 step
+    # |c| = 0.95 needs 276 sweeps at n=256 to bound the change still to
+    # come in Phi by 1e-8
     gm = solve_principal(DiskConstant(c=0.95),
                          SolverConfig(grid_n=256, tol=1e-8))
     assert gm.iterations > 200
-    assert gm.final_residual <= 1e-8
+    assert gm.iteration_error_bound <= 1e-8
 
 
 def test_solve_zero_field_identity():
@@ -447,11 +452,26 @@ def test_default_solve_lies_within_its_error_bound(name):
 
 
 def test_default_solve_stops_early_at_high_dilatation():
-    # a 1e-8 density step takes 231 sweeps at |c| = 0.95, n=256
+    # a 1e-8 bound on Phi takes 276 sweeps at |c| = 0.95, n=256; the
+    # default bound, 0.01 of a cell side, far fewer
     gm = solve_principal(DiskConstant(c=0.95), SolverConfig(grid_n=256))
     assert gm.iterations <= 150
     assert gm.iteration_error_bound <= 0.01 * 8 / 256
     assert gm.to_dict()["iteration_error_bound"] == gm.iteration_error_bound
+
+
+def test_explicit_tol_stops_at_the_first_sweep_within_it():
+    # tol bounds the change still to come in Phi, as the default does: the
+    # solve stops at the first sweep whose bound is <= tol, so one sweep
+    # fewer does not reach it
+    mu = DiskConstant(c=0.9j)
+    gm = solve_principal(mu, SolverConfig(grid_n=64, tol=1e-6))
+    assert gm.iteration_error_bound <= 1e-6
+    with pytest.raises(ConvergenceError) as ei:
+        solve_principal(mu, SolverConfig(grid_n=64, tol=1e-6,
+                                         max_iter=gm.iterations - 1))
+    assert ei.value.error_bound > 1e-6
+    assert ei.value.iterations == gm.iterations - 1
 
 
 def test_error_bound_is_kernel_norm_times_last_step():
@@ -560,15 +580,13 @@ def _window_loop(mu, cfg):
     mu_win = solver._sample_mu(mu, Z[w, w], xs[1] - xs[0])
     k = float(np.abs(mu_win).max())
     gain = h * solver._cauchy_gain(w.stop - w.start, w.start) * k / (1 - k)
+    target = 0.01 * h if cfg.tol is None else cfg.tol
     x = mu_win
     for it in range(1, cfg.max_iter + 1):
         nxt = mu_win * singular_transform(x, period=(n, n)) + mu_win
         d = nxt - x
         x = nxt
-        if cfg.tol is None:
-            if gain * np.linalg.norm(d) <= 0.01 * h:
-                break
-        elif np.abs(d).max() <= cfg.tol:
+        if gain * np.linalg.norm(d) <= target:
             break
     P = cauchy_transform(x, h, border=w.start) + Z
     return it, P, x.sum() * h * h / math.pi, mu_win
@@ -723,6 +741,13 @@ def test_solver_config_validation():
         SolverConfig(grid_n=32)
     with pytest.raises(ValueError):
         SolverConfig(pad_factor=1.0)
+    # counts are integers where they enter, not where range() meets them
+    for kw in ({"grid_n": 64.0}, {"grid_n": "64"}, {"max_iter": math.nan},
+               {"max_iter": 2.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SolverConfig(**kw)
+    cfg = SolverConfig(grid_n=np.int64(64), max_iter=np.int32(5))
+    assert type(cfg.grid_n) is int and type(cfg.max_iter) is int
 
 
 def test_eval_gridmap_identity_everywhere():
