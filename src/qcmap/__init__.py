@@ -5,6 +5,10 @@ grid solver for the principal solution of compactly supported dilatations,
 and a modulus-gap certifier for bi-Lipschitz behavior.
 """
 
+import time as _time
+
+_import_start = _time.perf_counter()
+
 __version__ = "0.1.0"
 
 from .closed_maps import (AmbiguousInverseError, DiskMapSpec, LocusResult,
@@ -45,3 +49,6 @@ __all__ = [
     "solve_principal", "validate_extension",
     "write_grid_samples",
 ]
+
+# the time this package took to import, numpy included; the CLI reports it
+_import_ms = (_time.perf_counter() - _import_start) * 1000

@@ -5,12 +5,19 @@ artifact (CSV locus, binary grid map, JSON certificate, PPM image) through
 the atomic temp-and-rename of ``_arrays.write_file``. Exit codes: 0 success
 or certification pass, 1 certification fail, 2 bad input, 3 numeric
 non-convergence.
+
+The argparse tree is built once per process; ``build_parser`` hands each
+caller its own shallow copy of it. A report is written in one pass by
+``_json_text``, in the bytes of ``json.dumps(report, sort_keys=True,
+indent=2)`` with every non-finite number written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -18,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_ms
 from ._arrays import cell_centers, write_file
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
                           fc_map, identity_map, is_allowable_sector,
@@ -95,27 +102,56 @@ def _parse_centers(spec):
     return np.asarray(pts, dtype=complex)
 
 
-def _finite_or_null(obj):
-    """Copy of a report with every non-finite float replaced by None."""
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent="\n"):
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
+    with every non-finite float written as null.
+
+    ``indent`` is the newline and the spaces that precede ``obj``'s closing
+    bracket. Dict keys must be strings; whatever ``json.dumps`` cannot
+    encode raises TypeError. Floats, most of a report, are tested first:
+    no float is also a str or an int.
+    """
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _ENCODE_STR(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_ENCODE_STR(k) + ": " + _json_text(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
-def _emit(command, config, result, t0, out_path=None):
+def _emit(args, command, config, result, t0, out_path=None):
     """Write the run report to ``out_path``, then print it, as strict JSON:
     non-finite numbers become null. A failed write prints nothing."""
     report = {"command": command,
               "config": config,
               "result": result,
+              "timings_ms": {"import": _import_ms, "parse": args.parse_ms},
               "wall_time_ms": int((time.perf_counter() - t0) * 1000),
               "version": __version__}
-    text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2,
-                      allow_nan=False)
+    text = _json_text(report)
     if out_path:
         write_file(out_path, text.encode(), b"\n")
     print(text)
@@ -144,7 +180,7 @@ def _cmd_allowable(args):
               "lambda": [spec.lam.real, spec.lam.imag],
               "allowable": is_allowable_sector(c_eff, theta0, args.tol),
               "tol": args.tol}
-    _emit("allowable", {"tol": args.tol}, result, t0, args.json)
+    _emit(args, "allowable", {"tol": args.tol}, result, t0, args.json)
     return 0
 
 
@@ -152,7 +188,7 @@ def _cmd_locus(args):
     t0 = time.perf_counter()
     locus = allowable_locus(args.theta0, samples=args.samples)
     lines = ["re,im"]
-    for p in locus.points:
+    for p in locus.points.tolist():
         lines.append(f"{p.real:.17g},{p.imag:.17g}")
     write_file(args.out, ("\n".join(lines) + "\n").encode())
     result = {"theta0": args.theta0,
@@ -160,7 +196,7 @@ def _cmd_locus(args):
               "points": len(locus.points),
               "whole_disk": locus.whole_disk,
               "out": args.out}
-    _emit("locus", {"samples": args.samples}, result, t0, args.json)
+    _emit(args, "locus", {"samples": args.samples}, result, t0, args.json)
     return 0
 
 
@@ -176,14 +212,16 @@ def _cmd_solve(args):
         result = {"converged": False, "residual": exc.residual,
                   "iterations": exc.iterations,
                   "iteration_error_bound": exc.error_bound}
-        _emit("solve", _solver_config_dict(cfg, args.field), result, t0, args.json)
+        _emit(args, "solve", _solver_config_dict(cfg, args.field), result,
+              t0, args.json)
         return 3
     gm.save(args.out)
     result = {"converged": True, "out": args.out, **gm.to_dict()}
     oracle = _disk_oracle_error(mu, gm)
     if oracle is not None:
         result["oracle_sup_error"] = oracle
-    _emit("solve", _solver_config_dict(cfg, args.field), result, t0, args.json)
+    _emit(args, "solve", _solver_config_dict(cfg, args.field), result,
+          t0, args.json)
     return 0
 
 
@@ -229,10 +267,10 @@ def _cmd_certify(args):
             r_max=args.r_max, seed=args.seed, resolution=resolution)
     except NotSeparatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit("certify", config, {"verdict": "fail", "reason": str(exc)},
-              t0, args.out)
+        _emit(args, "certify", config,
+              {"verdict": "fail", "reason": str(exc)}, t0, args.out)
         return 1
-    _emit("certify", config, report.to_dict(), t0, args.out)
+    _emit(args, "certify", config, report.to_dict(), t0, args.out)
     return 0 if report.verdict else 1
 
 
@@ -294,12 +332,14 @@ def _cmd_render(args):
     write_file(args.out, header, img)
     result = {"out": args.out, "width": width, "height": height,
               "points_drawn": drawn}
-    _emit("render", {"map": meta, "window": list(window), "px": args.px},
-          result, t0, args.json)
+    _emit(args, "render",
+          {"map": meta, "window": list(window), "px": args.px}, result, t0,
+          args.json)
     return 0
 
 
-def build_parser():
+@functools.cache
+def _parser_tree():
     p = argparse.ArgumentParser(prog="qcmap",
                                 description="quasiconformal map toolkit")
     p.add_argument("--version", action="version", version=__version__)
@@ -364,9 +404,19 @@ def build_parser():
     return p
 
 
+def build_parser():
+    """The CLI's argument parser: a shallow copy of the tree built once per
+    process, so that an attribute set on one result is not seen by the next
+    (``parse_args`` changes no parser in the tree). Its actions and
+    sub-parsers are shared: adding an argument changes every later copy."""
+    return copy.copy(_parser_tree())
+
+
 def main(argv=None):
+    t0 = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.parse_ms = (time.perf_counter() - t0) * 1000
     # malformed fields, files and values all raise ValueError (FieldError and
     # SupportError among them); unreadable or unwritable paths raise OSError
     try:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import json
 import math
 import struct
@@ -9,7 +10,8 @@ import pytest
 
 from qcmap import cli
 from qcmap.cli import main
-from qcmap.closed_maps import DiskMapSpec, eval_fc, is_allowable_sector
+from qcmap.closed_maps import (DiskMapSpec, allowable_locus, eval_fc,
+                               is_allowable_sector)
 from qcmap.field import (FIELD_MAGIC, DiskConstant, SectorConstant,
                          write_grid_samples)
 from qcmap.solver import GridMap, SolverConfig, grid_coordinates, \
@@ -624,3 +626,169 @@ def test_solve_missing_field_file_names_it(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert str(missing) in captured.err
+
+
+# -- the report encoder and the parser tree -----------------------------------
+
+
+def _null_pass(obj):
+    """The reference null pass: a copy of ``obj`` with every non-finite float
+    replaced by None, which ``json.dumps(allow_nan=False)`` then accepts."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_pass(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_pass(v) for v in obj]
+    return obj
+
+
+def _reference_text(obj):
+    return json.dumps(_null_pass(obj), sort_keys=True, indent=2,
+                      allow_nan=False)
+
+
+_NOT_SEPARATED = ["certify", "--map", "builtin:fc:0.5,0", "--centers", "0,0",
+                  "--bound", "1.0", "--annuli", "2", "--r-min", "0.5",
+                  "--r-max", "1.0"]
+
+_EVERY_REPORT = {
+    "solve": (0, ["solve", "--field", "{tmp}/disk.json", "--grid-n", "64",
+                  "--out", "{tmp}/m.qcmap", "--json", "{tmp}/r.json"]),
+    "solve-not-converged": (3, ["solve", "--field", "{tmp}/hd.json",
+                                "--grid-n", "64", "--max-iter", "1",
+                                "--out", "{tmp}/m.qcmap",
+                                "--json", "{tmp}/r.json"]),
+    "certify-qcmap": (0, ["certify", "--map", "{tmp}/disk.qcmap",
+                          "--centers", "grid:2:1", "--bound", "3",
+                          "--annuli", "4", "--out", "{tmp}/r.json"]),
+    "certify-fc": (0, ["certify", "--map", "builtin:fc:0.5,0.2",
+                       "--centers", "grid:3:1.4", "--bound", "2.3",
+                       "--out", "{tmp}/r.json"]),
+    "certify-fangle": (0, ["certify", "--map", "builtin:fangle:0.4,0.3:1.2",
+                           "--centers", "0,0;1,0", "--bound", "2.3",
+                           "--annuli", "4", "--out", "{tmp}/r.json"]),
+    "certify-not-separated": (1, _NOT_SEPARATED + ["--out", "{tmp}/r.json"]),
+    "certify-no-pairs": (0, ["certify", "--map", "builtin:fc:0.5,0",
+                             "--centers", "0,0", "--bound", "3",
+                             "--r-min", "0.01", "--r-max", "1",
+                             "--out", "{tmp}/r.json"]),
+    "locus": (0, ["locus", "--theta0", "1.6", "--out", "{tmp}/l.csv",
+                  "--json", "{tmp}/r.json"]),
+    "locus-whole-disk": (0, ["locus", "--theta0", str(math.pi),
+                             "--out", "{tmp}/l.csv",
+                             "--json", "{tmp}/r.json"]),
+    "render": (0, ["render", "--map", "builtin:fangle:0.4,0.3:1.2",
+                   "--window=-2,-2,2,2", "--px", "32",
+                   "--out", "{tmp}/r.ppm", "--json", "{tmp}/r.json"]),
+    "allowable-sector": (0, ["allowable", "--theta0", "1", "--c", "0.3,0.2",
+                             "--json", "{tmp}/r.json"]),
+    "allowable-corner": (0, ["allowable", "--alpha", "0.5", "--beta", "0.2",
+                             "--c", "0.3,0.2", "--json", "{tmp}/r.json"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_REPORT))
+def test_report_bytes_equal_the_null_pass_and_json_dumps(name, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    want_rc, argv = _EVERY_REPORT[name]
+    _write_field(tmp_path, {"kind": "disk_constant", "c": [0.5, 0.1]},
+                 "disk.json")
+    _write_field(tmp_path, {"kind": "disk_constant", "c": [0.95, 0]},
+                 "hd.json")
+    if name == "certify-qcmap":
+        assert main(["solve", "--field", str(tmp_path / "disk.json"),
+                     "--grid-n", "64",
+                     "--out", str(tmp_path / "disk.qcmap")]) == 0
+        capsys.readouterr()
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda *a, **k: reports.append(emit(*a, **k)))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == want_rc
+    [report] = reports
+    want = _reference_text(report) + "\n"
+    assert capsys.readouterr().out == want
+    assert (tmp_path / "r.json").read_text() == want
+    timings = json.loads(want)["timings_ms"]
+    assert set(timings) == {"import", "parse"}
+    assert all(math.isfinite(v) and v >= 0 for v in timings.values())
+
+
+def test_report_encoder_matches_json_dumps_on_edge_values():
+    report = {"nan": math.nan, "inf": [math.inf, -math.inf],
+              "zero": -0.0, "tiny": 5e-324, "huge": 1e308,
+              "flags": [True, 1, False, 0, None],
+              "empty": {"d": {}, "l": [], "t": ()},
+              "tuple": (1.5, (2, [math.nan])),
+              "np": [np.float64(0.1), np.float64(math.nan)],
+              "text": 'caf\u00e9 "quoted"\nline', "caf\u00e9": 3,
+              "nested": [[{"b": 1, "a": [{}]}]], "big": 10 ** 30}
+    assert cli._json_text(report) == _reference_text(report)
+    for scalar in (math.nan, "x", 7, 2.5, None, True, [], {}):
+        assert cli._json_text(scalar) == _reference_text(scalar)
+    for bad in (np.int64(1), np.bool_(True), {"a": {1, 2}}, object()):
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    argv = ["allowable", "--theta0", "1", "--c", "0.3"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+
+
+def _stdout_of(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_each_build_parser_call_gets_its_own_parser(capsys):
+    first = cli.build_parser()
+    first.parse_args = lambda argv=None: "patched"
+    second = cli.build_parser()
+    assert second is not first
+    args = second.parse_args(["locus", "--theta0", "1", "--out", "x.csv"])
+    assert args.theta0 == 1.0 and args.samples == 256
+    fresh = cli._parser_tree.__wrapped__()
+    assert second.format_help() == fresh.format_help()
+    for argv in (["--version"], ["--help"], *(
+            [cmd, "--help"]
+            for cmd in ("allowable", "locus", "solve", "certify", "render"))):
+        assert _stdout_of(cli.build_parser(), argv, capsys) \
+            == _stdout_of(fresh, argv, capsys)
+
+
+def _old_locus_csv(theta0, samples):
+    """The CSV as formatted from the locus's numpy scalars."""
+    lines = ["re,im"]
+    for p in allowable_locus(theta0, samples=samples).points:
+        lines.append(f"{p.real:.17g},{p.imag:.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("theta0, samples", [
+    (0.3, 256), (math.pi / 2, 256), (1.6, 256), (5.5, 256), (0.3, 1),
+    (math.pi, 256)])
+def test_locus_csv_bytes_equal_the_numpy_scalar_formatting(tmp_path, capsys,
+                                                           theta0, samples):
+    out = tmp_path / "l.csv"
+    rc = main(["locus", "--theta0", repr(theta0), "--samples", str(samples),
+               "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    assert out.read_bytes() == _old_locus_csv(theta0, samples)
