@@ -1,6 +1,6 @@
 """Shared edge rules: the pointwise evaluator contract, the file writer, the
-grid codec, grid cell centers and the checks on a Beltrami coefficient, a
-sector opening and a count.
+grid codec, grid cell centers, the sampled unit circle and the checks on a
+box, a Beltrami coefficient, a sector opening and a count.
 
 ``pointwise`` gives every evaluator ``fn(obj, z, ...)`` one shape contract:
 the body sees a 1-D complex array, a scalar input returns a Python scalar
@@ -45,6 +45,25 @@ def pointwise(fn):
 def cell_centers(lo, hi, n):
     """Centers of the n equal cells of [lo, hi], one grid axis's nodes."""
     return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
+@functools.lru_cache(maxsize=4)
+def unit_circle(samples):
+    """``samples`` equally spaced points of the unit circle from 1, read-only."""
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
+    ring.flags.writeable = False
+    return ring
+
+
+def box(values, error=ValueError):
+    """``values`` as a tuple (xmin, ymin, xmax, ymax) of floats; raises
+    ``error`` unless they are 4 finite numbers with xmin < xmax and ymin < ymax."""
+    values = tuple(map(float, values))
+    if not (len(values) == 4 and all(map(math.isfinite, values))
+            and values[0] < values[2] and values[1] < values[3]):
+        raise error("a box must be 4 finite numbers xmin, ymin, xmax, ymax "
+                    f"with xmin < xmax and ymin < ymax, got {values}")
+    return values
 
 
 def coefficient(c, error=ValueError):

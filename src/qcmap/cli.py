@@ -6,6 +6,8 @@ the atomic temp-and-rename of ``_arrays.write_file``. Exit codes: 0 success
 or certification pass, 1 certification fail, 2 bad input, 3 numeric
 non-convergence.
 
+Each ``_cmd_*`` function returns its exit code, config and result, and
+``main`` writes the one run report of every command through ``_emit``.
 The argparse tree is built once per process; ``build_parser`` hands each
 caller its own shallow copy of it. A report is written in one pass by
 ``_json_text``, in the bytes of ``json.dumps(report, sort_keys=True,
@@ -26,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__, _import_ms
-from ._arrays import cell_centers, write_file
+from ._arrays import box, cell_centers, unit_circle, write_file
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
                           fc_map, identity_map, is_allowable_sector,
                           sector_invariants, unrotate_corner)
@@ -142,24 +144,24 @@ def _json_text(obj, indent="\n"):
                     "is not JSON serializable")
 
 
-def _emit(args, command, config, result, t0, out_path=None):
-    """Write the run report to ``out_path``, then print it, as strict JSON:
-    non-finite numbers become null. A failed write prints nothing."""
-    report = {"command": command,
+def _emit(args, config, result, t0):
+    """Write the run report of ``args.cmd`` to ``args.json``, then print it,
+    as strict JSON: non-finite numbers become null. A failed write prints
+    nothing."""
+    report = {"command": args.cmd,
               "config": config,
               "result": result,
               "timings_ms": {"import": _import_ms, "parse": args.parse_ms},
               "wall_time_ms": int((time.perf_counter() - t0) * 1000),
               "version": __version__}
     text = _json_text(report)
-    if out_path:
-        write_file(out_path, text.encode(), b"\n")
+    if args.json:
+        write_file(args.json, text.encode(), b"\n")
     print(text)
     return report
 
 
 def _cmd_allowable(args):
-    t0 = time.perf_counter()
     c = args.c
     if args.alpha is not None:
         beta = args.beta or 0.0
@@ -180,12 +182,10 @@ def _cmd_allowable(args):
               "lambda": [spec.lam.real, spec.lam.imag],
               "allowable": is_allowable_sector(c_eff, theta0, args.tol),
               "tol": args.tol}
-    _emit(args, "allowable", {"tol": args.tol}, result, t0, args.json)
-    return 0
+    return 0, {"tol": args.tol}, result
 
 
 def _cmd_locus(args):
-    t0 = time.perf_counter()
     locus = allowable_locus(args.theta0, samples=args.samples)
     lines = ["re,im"]
     for p in locus.points.tolist():
@@ -196,37 +196,27 @@ def _cmd_locus(args):
               "points": len(locus.points),
               "whole_disk": locus.whole_disk,
               "out": args.out}
-    _emit(args, "locus", {"samples": args.samples}, result, t0, args.json)
-    return 0
+    return 0, {"samples": args.samples}, result
 
 
 def _cmd_solve(args):
-    t0 = time.perf_counter()
     mu = field_from_json(args.field)
     cfg = SolverConfig(grid_n=args.grid_n, pad_factor=args.pad_factor,
                        tol=args.tol, max_iter=args.max_iter)
+    config = {"field": str(args.field), **dataclasses.asdict(cfg)}
     try:
         gm = solve_principal(mu, cfg)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        result = {"converged": False, "residual": exc.residual,
-                  "iterations": exc.iterations,
-                  "iteration_error_bound": exc.error_bound}
-        _emit(args, "solve", _solver_config_dict(cfg, args.field), result,
-              t0, args.json)
-        return 3
+        return 3, config, {"converged": False, "residual": exc.residual,
+                           "iterations": exc.iterations,
+                           "iteration_error_bound": exc.error_bound}
     gm.save(args.out)
     result = {"converged": True, "out": args.out, **gm.to_dict()}
     oracle = _disk_oracle_error(mu, gm)
     if oracle is not None:
         result["oracle_sup_error"] = oracle
-    _emit(args, "solve", _solver_config_dict(cfg, args.field), result,
-          t0, args.json)
-    return 0
-
-
-def _solver_config_dict(cfg, field_path):
-    return {"field": str(field_path), **dataclasses.asdict(cfg)}
+    return 0, config, result
 
 
 def _disk_oracle_error(mu, gm):
@@ -252,7 +242,6 @@ def _disk_oracle_error(mu, gm):
 
 
 def _cmd_certify(args):
-    t0 = time.perf_counter()
     f, meta = _parse_map(args.map)
     # the floor is read here: a wrapper around f would hide it from the library
     resolution = getattr(f, "resolution", 0.0)
@@ -267,11 +256,8 @@ def _cmd_certify(args):
             r_max=args.r_max, seed=args.seed, resolution=resolution)
     except NotSeparatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit(args, "certify", config,
-              {"verdict": "fail", "reason": str(exc)}, t0, args.out)
-        return 1
-    _emit(args, "certify", config, report.to_dict(), t0, args.out)
-    return 0 if report.verdict else 1
+        return 1, config, {"verdict": "fail", "reason": str(exc)}
+    return (0 if report.verdict else 1), config, report.to_dict()
 
 
 def _curves_for_map(meta, window):
@@ -281,17 +267,12 @@ def _curves_for_map(meta, window):
     n = 4096
     curves = []
     step = max(xmax - xmin, ymax - ymin) / 8.0
-    k0 = math.floor(xmin / step)
-    k1 = math.ceil(xmax / step)
-    ts = np.linspace(ymin, ymax, n)
-    for k in range(k0, k1 + 1):
-        curves.append(("grid", k * step + 1j * ts))
-    k0 = math.floor(ymin / step)
-    k1 = math.ceil(ymax / step)
-    ts = np.linspace(xmin, xmax, n)
-    for k in range(k0, k1 + 1):
-        curves.append(("grid", ts + 1j * k * step))
-    ring = np.exp(2j * math.pi * np.arange(n) / n)
+    xs, ys = np.linspace(xmin, xmax, n), np.linspace(ymin, ymax, n)
+    for k in range(math.floor(xmin / step), math.ceil(xmax / step) + 1):
+        curves.append(("grid", k * step + 1j * ys))
+    for k in range(math.floor(ymin / step), math.ceil(ymax / step) + 1):
+        curves.append(("grid", xs + 1j * k * step))
+    ring = unit_circle(n)
     for r in (0.25, 0.5, 1.0, 2.0):
         if r <= diag:
             curves.append(("circle", r * ring))
@@ -309,11 +290,8 @@ _CURVE_COLORS = {"grid": (70, 130, 180), "circle": (200, 40, 40),
 
 
 def _cmd_render(args):
-    t0 = time.perf_counter()
     f, meta = _parse_map(args.map)
-    window = tuple(_finite(v) for v in args.window.split(","))
-    if len(window) != 4 or window[0] >= window[2] or window[1] >= window[3]:
-        raise ValueError(f"bad window {args.window!r}")
+    window = box([_finite(v) for v in args.window.split(",")])
     if args.px < 16:
         raise ValueError(f"need --px >= 16, got {args.px}")
     xmin, ymin, xmax, ymax = window
@@ -332,10 +310,7 @@ def _cmd_render(args):
     write_file(args.out, header, img)
     result = {"out": args.out, "width": width, "height": height,
               "points_drawn": drawn}
-    _emit(args, "render",
-          {"map": meta, "window": list(window), "px": args.px}, result, t0,
-          args.json)
-    return 0
+    return 0, {"map": meta, "window": list(window), "px": args.px}, result
 
 
 @functools.cache
@@ -391,7 +366,8 @@ def _parser_tree():
     pc.add_argument("--r-min", type=_finite, default=None)
     pc.add_argument("--r-max", type=_finite, default=None)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--out", default=None, help="write the JSON report here")
+    pc.add_argument("--out", dest="json", metavar="OUT", default=None,
+                    help="write the JSON report here")
     pc.set_defaults(func=_cmd_certify)
 
     pr = sub.add_parser("render", help="render reference curves under a map")
@@ -419,11 +395,14 @@ def main(argv=None):
     args.parse_ms = (time.perf_counter() - t0) * 1000
     # malformed fields, files and values all raise ValueError (FieldError and
     # SupportError among them); unreadable or unwritable paths raise OSError
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, config, result = args.func(args)
+        _emit(args, config, result, t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

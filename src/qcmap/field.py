@@ -14,12 +14,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._arrays import coefficient, opening, pointwise, read_grid, write_grid
+from ._arrays import (box, coefficient, count, opening, pointwise, read_grid,
+                      write_grid)
 
 FIELD_MAGIC = b"QCFLD1\x00\x00"
 
@@ -142,11 +144,7 @@ class HolderGrid:
         if not np.all(np.isfinite(samples)):
             raise FieldError("samples must be finite")
         object.__setattr__(self, "samples", samples)
-        xmin, ymin, xmax, ymax = (float(v) for v in self.bbox)
-        if not (-math.inf < xmin < xmax < math.inf
-                and -math.inf < ymin < ymax < math.inf):
-            raise FieldError(f"bbox must be finite and ordered, got {self.bbox}")
-        object.__setattr__(self, "bbox", (xmin, ymin, xmax, ymax))
+        object.__setattr__(self, "bbox", box(self.bbox, FieldError))
         if not (0.0 < self.epsilon <= 1.0):
             raise FieldError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not (self.holder_c >= 0 and math.isfinite(self.holder_c)):
@@ -359,9 +357,16 @@ def read_grid_samples(path):
     return samples
 
 
+def _number(value):
+    """``value`` as a float; TypeError unless it is a number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _pair(obj):
     re, im = obj
-    return complex(float(re), float(im))
+    return complex(_number(re), _number(im))
 
 
 def field_from_json(spec, base_dir=None):
@@ -369,11 +374,21 @@ def field_from_json(spec, base_dir=None):
 
     Relative paths in a spec (``data_file``, composite members) are read
     against ``base_dir``, for a spec file its directory. A missing key, a key
-    the kind does not read, a bad value or a malformed file raises FieldError.
+    the kind does not read, a bad value, a malformed file or a composite that
+    includes its own spec file raises FieldError.
     """
+    return _load(spec, base_dir, ())
+
+
+def _load(spec, base_dir, chain):
+    """``field_from_json``; ``chain`` holds the spec files being read, resolved."""
     if isinstance(spec, (str, Path)):
         path = Path(base_dir or ".", spec)  # an absolute spec ignores base_dir
         base_dir = path.parent
+        here = path.resolve()
+        if here in chain:
+            raise FieldError(f"{path} includes itself as a composite member")
+        chain += (here,)
         try:
             spec = json.loads(path.read_text())
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -381,7 +396,7 @@ def field_from_json(spec, base_dir=None):
     if not isinstance(spec, dict):
         raise FieldError("field spec must be a JSON object")
     try:
-        return _field_from_dict(dict(spec), base_dir)
+        return _field_from_dict(dict(spec), base_dir, chain)
     except FieldError:
         raise
     except KeyError as exc:
@@ -390,33 +405,34 @@ def field_from_json(spec, base_dir=None):
         raise FieldError(f"bad {spec.get('kind')!r} field spec: {exc}") from None
 
 
-def _field_from_dict(spec, base_dir):
+def _field_from_dict(spec, base_dir, chain):
     """The field of ``spec``, whose keys are popped as they are read."""
     kind = spec.pop("kind", None)
     if kind == "disk_constant":
         field = DiskConstant(c=_pair(spec.pop("c")),
                              center=_pair(spec.pop("center", [0, 0])),
-                             radius=float(spec.pop("radius", 1.0)))
+                             radius=_number(spec.pop("radius", 1.0)))
     elif kind == "sector_constant":
         field = SectorConstant(c=_pair(spec.pop("c")),
-                               theta0=float(spec.pop("theta0")),
-                               beta=float(spec.pop("beta", 0.0)),
-                               radius=float(spec.pop("radius", math.inf)))
+                               theta0=_number(spec.pop("theta0")),
+                               beta=_number(spec.pop("beta", 0.0)),
+                               radius=_number(spec.pop("radius", math.inf)))
     elif kind == "holder_grid":
         data_file = Path(base_dir or ".", spec.pop("data_file"))
         samples = read_grid_samples(data_file)
-        nx, ny = (int(v) for v in spec.pop("n"))
+        nx, ny = (count(v, "n") for v in spec.pop("n"))
         if samples.shape != (ny, nx):
             raise FieldError(
                 f"dims in {data_file} are {samples.shape[::-1]}, JSON says {(nx, ny)}")
-        field = HolderGrid(samples=samples, bbox=spec.pop("bbox"),
-                           epsilon=float(spec.pop("epsilon")),
-                           holder_c=float(spec.pop("holder_c")))
+        field = HolderGrid(samples=samples,
+                           bbox=[_number(v) for v in spec.pop("bbox")],
+                           epsilon=_number(spec.pop("epsilon")),
+                           holder_c=_number(spec.pop("holder_c")))
     elif kind == "composite":
         members = spec.pop("members")
         if not isinstance(members, (list, tuple)):
             raise FieldError("composite members must be a list")
-        field = Composite(tuple(field_from_json(m, base_dir) for m in members))
+        field = Composite(tuple(_load(m, base_dir, chain) for m in members))
     else:
         raise FieldError(f"unknown field kind {kind!r}")
     if spec:

@@ -12,13 +12,12 @@ geometric bi-Lipschitz criterion, and an unbounded gap certifies failure.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import count
+from ._arrays import count, unit_circle
 from .closed_maps import DiskMapSpec, eval_fc_inverse, fc_map
 
 
@@ -86,19 +85,11 @@ class BoundingAnnuli:
         return AnnulusSpec(self.image_center, self.R1, self.rho2)
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_circle(samples):
-    """``samples`` equally spaced points of the unit circle from 1, read-only."""
-    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
-    ring.flags.writeable = False
-    return ring
-
-
 def bounding_annuli(f, a: AnnulusSpec, circle_samples=1024) -> BoundingAnnuli:
     """Sample both boundary circles under f and extract min/max image radii."""
     if count(circle_samples, "circle_samples") < 64:
         raise ValueError("need at least 64 circle samples")
-    ring = _unit_circle(circle_samples)
+    ring = unit_circle(circle_samples)
     fc0 = complex(np.asarray(f(np.array([a.center], dtype=complex))).ravel()[0])
     d1 = np.abs(np.asarray(f(a.center + a.r1 * ring)) - fc0)
     d2 = np.abs(np.asarray(f(a.center + a.r2 * ring)) - fc0)

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import cell_centers, count, pointwise, read_grid, write_grid
+from ._arrays import box, cell_centers, count, pointwise, read_grid, write_grid
 
 SOLVER_MAGIC = b"QCMAP1\x00\x00"
 
@@ -415,13 +415,7 @@ class GridMap:
             raise ValueError(f"need at least 2x2 samples, got {self.values.shape}")
         if not (np.all(np.isfinite(self.values)) and np.isfinite(self.tail)):
             raise ValueError("map samples and tail must be finite")
-        self.bbox = tuple(float(v) for v in self.bbox)
-        if len(self.bbox) != 4 or not all(map(math.isfinite, self.bbox)):
-            raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox}")
-        xmin, ymin, xmax, ymax = self.bbox
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError(f"bbox must have xmin < xmax and ymin < ymax, "
-                             f"got {self.bbox}")
+        self.bbox = box(self.bbox)
 
     @property
     def shape(self):

@@ -229,10 +229,17 @@ _NAN = float("nan")
                     tail=complex(_NAN, 0)),
     lambda: HolderGrid(samples=np.zeros((2, 2)), bbox=(-math.inf, -1, 1, 1),
                        epsilon=1.0, holder_c=1.0),
+    *(lambda box=box: HolderGrid(samples=np.zeros((2, 2)), bbox=box,
+                                 epsilon=1.0, holder_c=1.0)
+      for box in [(_NAN, -1, 1, 1), (-1, -1, 1, math.inf), (-1, -1, 1),
+                  (-1, -1, 1, 1, 2), (1, -1, 1, 1), (-1, 2, 1, 1)]),
 ], ids=["sector_invariants", "is_allowable_sector", "fangle_map",
         "compose_dilatation", "SolverConfig", "SolverConfig_tol_inf",
         "certify_bound_inf", "certify_bound_nan", "GridMap_tail_nan",
-        "HolderGrid_bbox_inf"])
+        "HolderGrid_bbox_inf", "HolderGrid_bbox_nan",
+        "HolderGrid_bbox_ymax_inf", "HolderGrid_bbox_3_values",
+        "HolderGrid_bbox_5_values", "HolderGrid_bbox_xmin_eq_xmax",
+        "HolderGrid_bbox_ymin_gt_ymax"])
 def test_nan_inputs_are_rejected_where_they_enter(build):
     with pytest.raises(ValueError):
         build()

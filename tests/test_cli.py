@@ -219,8 +219,11 @@ _GRID_SPEC = {"kind": "holder_grid", "bbox": [-1, -1, 1, 1], "n": [2, 2],
     ({"kind": "composite", "members": 3}, None),
     (_GRID_SPEC, FIELD_MAGIC + b"\x02\x00"),
     (_GRID_SPEC, FIELD_MAGIC + struct.pack("<II", 2, 2) + bytes(16 * 4 + 3)),
+    ({"kind": "composite", "members": ["field.json"]}, None),
+    ({"kind": "disk_constant", "c": ["0.5", 0]}, None),
 ], ids=["missing-c", "non-numeric-c", "non-numeric-radius",
-        "members-not-a-list", "10-byte-mu-bin", "ragged-mu-bin"])
+        "members-not-a-list", "10-byte-mu-bin", "ragged-mu-bin",
+        "composite-includes-itself", "string-c"])
 def test_solve_rejects_malformed_field_with_exit_two(tmp_path, capsys, spec,
                                                      mu_bin):
     if mu_bin is not None:
@@ -489,9 +492,13 @@ def test_render_fc_ellipse_axes(tmp_path, capsys):
 
 
 def test_render_bad_window(tmp_path, capsys):
-    rc, _ = run_cli(capsys, "render", "--map", "builtin:identity",
-                    "--window", "2,-2,-2,2", "--out", str(tmp_path / "x.ppm"))
-    assert rc == 2
+    for window in ["2,-2,-2,2", "nan,-2,2,2", "-2,-2,inf,2", "-2,-inf,2,2",
+                   "-2,-2,2", "-2,-2,2,2,3", "1,-2,1,2", "-2,3,2,2"]:
+        rc = main(["render", "--map", "builtin:identity", f"--window={window}",
+                   "--out", str(tmp_path / "x.ppm")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.ppm").exists()
     rc, _ = run_cli(capsys, "render", "--map", "builtin:identity",
                     "--window", "0,0,2,2", "--px", "4",
                     "--out", str(tmp_path / "x.ppm"))

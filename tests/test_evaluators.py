@@ -13,12 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from qcmap._arrays import pointwise
+from qcmap._arrays import pointwise, unit_circle
 from qcmap.closed_maps import (DiskMapSpec, eval_fangle, eval_fc, fc_map,
                                sector_invariants)
 from qcmap.field import DiskConstant
-from qcmap.modulus import (AnnulusSpec, _unit_circle, bounding_annuli,
-                           certify_bilipschitz)
+from qcmap.modulus import AnnulusSpec, bounding_annuli, certify_bilipschitz
 from qcmap.solver import GridMap, SolverConfig, eval_gridmap, solve_principal
 
 _TWO_PI = 2.0 * math.pi
@@ -186,13 +185,16 @@ def test_certify_is_the_same_through_the_plain_evaluators(solved):
             (want.lipschitz_min, want.lipschitz_max)
 
 
-@pytest.mark.parametrize("samples", [64, 1024])
+@pytest.mark.parametrize("samples", [64, 1024, 4096])
 def test_unit_circle_is_cached_read_only_and_exact(samples):
-    ring = _unit_circle(samples)
-    assert ring is _unit_circle(samples)
+    # certify's circles and render's share this ring; at a power of two
+    # samples the linspace and the arange formulas agree bit for bit
+    ring = unit_circle(samples)
+    assert ring is unit_circle(samples)
     assert not ring.flags.writeable
-    want = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
-    _assert_bitwise(ring, want)
+    _assert_bitwise(ring, np.exp(
+        1j * np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)))
+    _assert_bitwise(ring, np.exp(2j * math.pi * np.arange(samples) / samples))
     with pytest.raises(ValueError):
         ring[0] = 0
 

@@ -54,6 +54,9 @@ def test_rejects_non_finite():
     bad[1, 2] = complex(np.inf, 0)
     with pytest.raises(FieldError):
         HolderGrid(samples=bad, bbox=(-1, -1, 1, 1), epsilon=0.5, holder_c=1.0)
+    with pytest.raises(FieldError, match="box"):
+        HolderGrid(samples=np.zeros((4, 4)), bbox=(-1, -1, 1, np.nan),
+                   epsilon=0.5, holder_c=1.0)
 
 
 def test_evaluate_is_pure():
@@ -271,3 +274,57 @@ def test_field_from_json_names_a_file_that_is_not_json(tmp_path):
 def test_composite_members_must_be_a_list():
     with pytest.raises(FieldError, match="list"):
         field_from_json({"kind": "composite", "members": "m1.json"})
+
+
+@pytest.mark.parametrize("files", [
+    {"self.json": ["self.json"]},
+    {"self.json": ["other.json"], "other.json": ["self.json"]},
+], ids=["direct", "two-files"])
+def test_composite_that_includes_itself_names_the_file(tmp_path, files):
+    for name, members in files.items():
+        (tmp_path / name).write_text(json.dumps(
+            {"kind": "composite", "members": members}))
+    with pytest.raises(FieldError, match="self.json includes itself"):
+        field_from_json(tmp_path / "self.json")
+
+
+def test_deeply_nested_composite_files_load(tmp_path):
+    depth = 40
+    (tmp_path / f"{depth}.json").write_text(json.dumps(
+        {"kind": "disk_constant", "c": [0.2, 0], "center": [-2, 0],
+         "radius": 0.5}))
+    for k in range(depth):
+        (tmp_path / f"{k}.json").write_text(json.dumps(
+            {"kind": "composite", "members": [f"{k + 1}.json"]}))
+    assert field_from_json(tmp_path / "0.json").evaluate(-2.0) == 0.2
+    # a file named by two siblings is read twice, not taken for a cycle
+    (tmp_path / "twice.json").write_text(json.dumps(
+        {"kind": "composite", "members": ["1.json", "1.json"]}))
+    with pytest.raises(FieldError, match="overlapping supports"):
+        field_from_json(tmp_path / "twice.json")
+
+
+_GRID_4X4 = {"kind": "holder_grid", "bbox": [-1, -1, 1, 1], "n": [4, 4],
+             "epsilon": 0.5, "holder_c": 1.0, "data_file": "mu.bin"}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk_constant", "c": ["0.5", "0"]},
+    {"kind": "disk_constant", "c": [0.5, 0], "center": [0, "1"]},
+    {"kind": "disk_constant", "c": [0.5, 0], "radius": True},
+    {"kind": "sector_constant", "c": [0.5, 0], "theta0": "1.0"},
+    {"kind": "sector_constant", "c": [0.5, 0], "theta0": 1.0, "beta": False},
+    {"kind": "sector_constant", "c": [0.5, 0], "theta0": 1.0, "radius": "2"},
+    {**_GRID_4X4, "bbox": [-1, -1, 1, "1"]},
+    {**_GRID_4X4, "epsilon": "0.5"},
+    {**_GRID_4X4, "holder_c": True},
+    {**_GRID_4X4, "n": [4.9, "4"]},
+    {**_GRID_4X4, "n": [4, 4.0]},
+], ids=["c-str", "center-str", "radius-true", "theta0-str", "beta-false",
+        "sector-radius-str", "bbox-str", "epsilon-str", "holder_c-true",
+        "n-float-and-str", "n-float"])
+def test_field_from_json_rejects_a_value_of_the_wrong_type(tmp_path, spec):
+    write_grid_samples(tmp_path / "mu.bin", np.zeros((4, 4), dtype=complex))
+    assert isinstance(field_from_json(_GRID_4X4, tmp_path), HolderGrid)
+    with pytest.raises(FieldError, match="number|integer"):
+        field_from_json(spec, tmp_path)

@@ -805,7 +805,9 @@ def test_gridmap_load_bad_magic(tmp_path):
 
 
 @pytest.mark.parametrize("bbox", [(math.nan, -1, 1, 1), (-1, -1, math.inf, 1),
-                                  (1, -1, -1, 1), (-1, 1, 1, 1), (-1, -1, 1)])
+                                  (1, -1, -1, 1), (-1, 1, 1, 1), (-1, -1, 1),
+                                  (-1, -math.inf, 1, 1), (-1, -1, 1, 1, 2),
+                                  (1, -1, 1, 1), (-1, 2, 1, 1)])
 def test_gridmap_rejects_bad_bbox(bbox):
     with pytest.raises(ValueError):
         GridMap(bbox=bbox, values=np.zeros((4, 4), dtype=complex))
