@@ -32,7 +32,6 @@ from ._arrays import box, cell_centers, unit_circle, write_file
 from .closed_maps import (DiskMapSpec, allowable_locus, eval_fc, fangle_map,
                           fc_map, identity_map, is_allowable_sector,
                           sector_invariants, unrotate_corner)
-from .field import DiskConstant, field_from_json
 from .modulus import NotSeparatedError, certify_bilipschitz
 from .solver import ConvergenceError, GridMap, SolverConfig, solve_principal
 
@@ -200,6 +199,8 @@ def _cmd_locus(args):
 
 
 def _cmd_solve(args):
+    from .field import field_from_json
+
     mu = field_from_json(args.field)
     cfg = SolverConfig(grid_n=args.grid_n, pad_factor=args.pad_factor,
                        tol=args.tol, max_iter=args.max_iter)
@@ -225,6 +226,8 @@ def _disk_oracle_error(mu, gm):
     The sup is over the nodes within two radii of the disk's center, found
     on the rows and columns that reach that far, not on the whole grid.
     """
+    from .field import DiskConstant
+
     if not isinstance(mu, DiskConstant):
         return None
     xmin, ymin, xmax, ymax = gm.bbox

@@ -438,18 +438,39 @@ def test_locus_rejects_no_samples(tmp_path, capsys):
     assert rc == 2
 
 
-def test_map_with_nonfinite_tail_is_bad_input(tmp_path, capsys):
-    p = tmp_path / "nan.qcmap"
-    GridMap(bbox=(-1, -1, 1, 1), values=np.zeros((4, 4))).save(p)
-    raw = bytearray(p.read_bytes())
-    raw[48:56] = struct.pack("<d", math.nan)  # the tail's real part
-    p.write_bytes(bytes(raw))
-    rc, _ = run_cli(capsys, "render", "--map", str(p), "--window=-1,-1,1,1",
-                    "--px", "16", "--out", str(tmp_path / "x.ppm"))
-    assert rc == 2
-    rc, _ = run_cli(capsys, "certify", "--map", str(p), "--centers", "0,0",
-                    "--bound", "2.0")
-    assert rc == 2
+# a QCMAP1 header: magic, dims, bbox at bytes 16-48, tail 48-64, samples
+_BAD_MAPS = {"nan box": (16, math.nan), "unordered box": (16, 5.0),
+             "nan tail": (48, math.nan), "inf tail": (56, math.inf),
+             "nan sample": (64, math.nan)}
+
+
+def _damaged_map(path, what):
+    GridMap(bbox=(-1, -1, 1, 1), values=np.zeros((4, 4))).save(path)
+    offset, value = _BAD_MAPS[what]
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("what", sorted(_BAD_MAPS))
+def test_gridmap_load_names_the_file_of_a_bad_box_or_value(tmp_path, what):
+    p = _damaged_map(tmp_path / "bad.qcmap", what)
+    with pytest.raises(ValueError, match="(box|finite).* in .*bad.qcmap$"):
+        GridMap.load(p)
+
+
+@pytest.mark.parametrize("what", sorted(_BAD_MAPS))
+def test_bad_map_file_is_bad_input_naming_the_path(tmp_path, capsys, what):
+    p = _damaged_map(tmp_path / "bad.qcmap", what)
+    for argv in (["certify", "--map", str(p), "--centers", "0,0",
+                  "--bound", "2.0"],
+                 ["render", "--map", str(p), "--window=-1,-1,1,1",
+                  "--px", "16", "--out", str(tmp_path / "x.ppm")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(p) in err[0]
 
 
 def test_certify_bad_map_source(capsys):

@@ -159,6 +159,107 @@ def test_cauchy_kernel_matches_complex_log_closed_form(my, mx):
     assert np.abs(K - ref).max() <= 1e-12
 
 
+def _full_lattice_cauchy_kernel(my, mx):
+    """The unit-cell Cauchy kernel with the closed form taken at every
+    corner of its (m + 1)^2 lattice: the reference for the quadrant and
+    the mirror images of _cauchy_kernel."""
+    ny, nx = my // 2, mx // 2
+    a = np.arange(mx + 1) - (nx + 0.5)
+    b = (np.arange(my + 1) - (ny + 0.5))[:, None]
+    log_r = np.log(np.square(a) + np.square(b))
+    log_r *= 0.5
+    log_r -= 1.0
+    arg = np.arctan2(b, a)
+    G = np.empty(log_r.shape, dtype=complex)
+    G.real = a * log_r - b * arg
+    G.imag = a * arg + b * log_r
+    del log_r, arg
+    K = G[:-1, 1:] - G[:-1, :-1]
+    K -= G[1:, 1:]
+    K += G[1:, :-1]
+    del G
+    K *= 1j
+    kx = np.arange(-nx, mx - nx)
+    K[ny] += -2.0 * math.pi * (0.5 - np.clip(kx, -0.5, 0.5))
+    K /= math.pi
+    return K
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_KERNEL_SHAPES = [(27, 27), (26, 30), (320, 320), (640, 640)]
+
+
+@pytest.mark.parametrize("my, mx", _KERNEL_SHAPES)
+def test_cauchy_kernel_mirror_symmetry_is_exact(my, mx):
+    # the cell is symmetric about both axes: off the real axis
+    # K(conj u) = conj K(u), and off the imaginary axis
+    # K(-conj u) = -conj K(u), bit for bit; on the axes, where the
+    # principal-branch closed form is not exactly real or imaginary, and
+    # under the quarter turn K(i u) = -i K(u), only to round-off
+    K = solver._cauchy_kernel(my, mx)
+    cy, cx = my // 2, mx // 2
+    py, px = (my - 1) // 2, (mx - 1) // 2
+    S = K[cy - py:cy + py + 1, cx - px:cx + px + 1]
+    off_x = np.ones(S.shape[0], dtype=bool)
+    off_x[py] = False
+    off_y = np.ones(S.shape[1], dtype=bool)
+    off_y[px] = False
+    assert np.array_equal(_bits(S[::-1][off_x]), _bits(np.conj(S[off_x])))
+    assert np.array_equal(_bits(S[:, ::-1][:, off_y]),
+                          _bits(-np.conj(S[:, off_y])))
+    assert np.array_equal(_bits(S[::-1, ::-1][off_x][:, off_y]),
+                          _bits(-S[off_x][:, off_y]))
+    assert np.abs(S[py].imag).max() <= 1e-16
+    assert np.abs(S[:, px].real).max() <= 1e-12
+    p = min(py, px)
+    Q = K[cy:cy + p + 1, cx:cx + p + 1]
+    assert np.abs(Q.T + 1j * np.conj(Q)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("my, mx", _KERNEL_SHAPES)
+def test_cauchy_kernel_quadrant_is_the_full_lattice_formula(my, mx):
+    # offsets k >= 0 per axis are computed, the rest mirrored; the
+    # mirrored entries differ from the full-lattice formula by its own
+    # cancellation error, which grows with the offset
+    K = solver._cauchy_kernel(my, mx)
+    ref = _full_lattice_cauchy_kernel(my, mx)
+    cy, cx = my // 2, mx // 2
+    assert np.array_equal(_bits(K[cy:, cx:]), _bits(ref[cy:, cx:]))
+    assert np.abs(K - ref).max() <= 5e-13
+
+
+def _kernel_regression_fields():
+    from test_ellipse_oracle import EllipseConstant
+
+    return {"disk": DiskConstant(c=0.6 - 0.3j),
+            "sector": SectorConstant(c=0.6j, theta0=1.0, beta=0.3,
+                                     radius=1.0),
+            "ellipse": EllipseConstant(c=-0.759 + 0.561j, a=1.0, b=0.7,
+                                       phi=1.0)}
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("name", ["disk", "sector", "ellipse"])
+def test_solves_match_the_full_lattice_kernel(monkeypatch, name, n):
+    # the kernel change moves no iteration count and the maps by round-off
+    mu = _kernel_regression_fields()[name]
+    cfg = SolverConfig(grid_n=n)
+    _clear_kernel_caches()
+    gm = solve_principal(mu, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_cauchy_kernel", _full_lattice_cauchy_kernel)
+        _clear_kernel_caches()
+        ref = solve_principal(mu, cfg)
+    _clear_kernel_caches()
+    assert gm.iterations == ref.iterations
+    scale = np.abs(ref.values).max()
+    assert np.abs(gm.values - ref.values).max() <= 1e-13 * scale
+    assert abs(gm.tail - ref.tail) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("n, pad_factor, h", [
     *((n, p, 1.0) for n in (64, 128) for p in (2.0, 2.5, 4.0)),
     (64, 4.0, 0.1),
