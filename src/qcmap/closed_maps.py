@@ -145,14 +145,17 @@ def eval_fangle(spec, z):
     out = np.zeros(z.shape, dtype=complex)
     nz = z != 0
     zv = z[nz]
-    th = np.arctan2(zv.imag, zv.real) % _TWO_PI
+    th = np.arctan2(zv.imag, zv.real)
+    th[th < 0.0] += _TWO_PI
     first = th < spec.theta0
-    w1 = np.where(first, (zv + spec.c * np.conj(zv)) / (1.0 + spec.c),
-                  spec.a * zv)
-    arg1 = np.arctan2(w1.imag, w1.real) % _TWO_PI
+    w1 = spec.a * zv  # over every point: cheaper than picking out the rest
+    lift = th + (spec.theta1 - spec.theta0)
+    z1 = zv[first]
+    w1[first] = w = (z1 + spec.c * np.conj(z1)) / (1.0 + spec.c)
+    arg1 = np.arctan2(w.imag, w.real)
+    arg1[arg1 < 0.0] += _TWO_PI
     # points on the positive real axis can round to arg ~ 2*pi; snap them back
-    arg1 = np.where(arg1 > _TWO_PI - 1e-12, 0.0, arg1)
-    lift = np.where(first, arg1, th + (spec.theta1 - spec.theta0))
+    lift[first] = np.where(arg1 > _TWO_PI - 1e-12, 0.0, arg1)
     out[nz] = np.exp(spec.lam * (np.log(np.abs(w1)) + 1j * lift))
     return out
 

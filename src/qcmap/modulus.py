@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +227,10 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
 
     Lipschitz ratios |f(x) - f(y)| / |x - y| over at most 4000 pairs of
     distinct test points (``lipschitz_pairs`` counts them) are reported as
-    corroborating diagnostics; they are not the criterion. A non-finite
-    ``bound`` raises ValueError.
+    corroborating diagnostics; they are not the criterion. Above 4000 pairs
+    ``np.random.default_rng(seed)`` draws the subsample and is built only
+    then; a negative or non-integer ``seed`` and a non-finite ``bound`` raise
+    ValueError.
     """
     bound = float(bound)
     if not math.isfinite(bound):
@@ -248,6 +251,11 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         raise ValueError("need 0 < r_min < r_max")
     if count(annuli_per_center, "annuli_per_center") < 1:
         raise ValueError("annuli_per_center must be >= 1")
+    rnd = sys.modules.get("numpy.random")  # loaded if seed is one of its objects
+    own = rnd and (rnd.Generator, rnd.BitGenerator, rnd.bit_generator.ISeedSequence)
+    if not (seed is None or own and isinstance(seed, own)) and any(
+            count(s, "seed") < 0 for s in np.ravel(np.array(seed, dtype=object))):
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
 
     delta = math.log(r_max / r_min) / annuli_per_center
     # an r_min at or above the floor resolves every annulus, also the last,
@@ -278,12 +286,11 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     if not records and not (nonfinite or unresolved):
         raise NotSeparatedError("all annuli were skipped as not separated")
 
-    rng = np.random.default_rng(seed)
     ii, jj = np.triu_indices(pts.size, k=1)
     distinct = pts[ii] != pts[jj]  # a repeated point gives no ratio
     ii, jj = ii[distinct], jj[distinct]
     if ii.size > 4000:
-        keep = rng.choice(ii.size, size=4000, replace=False)
+        keep = np.random.default_rng(seed).choice(ii.size, 4000, replace=False)
         ii, jj = ii[keep], jj[keep]
     if ii.size:
         fz = np.asarray(f(pts))

@@ -549,6 +549,15 @@ def test_certify_deterministic_given_seed(capsys):
     assert rep1["config"]["seed"] == 7
 
 
+def test_certify_negative_seed_exits_two(capsys):
+    # 9 centers draw no Lipschitz subsample, and the seed is still checked
+    rc = main(["certify", "--map", "builtin:fc:0.5,0", "--centers", "grid:3:1.4",
+               "--bound", "3", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_allowable_json_side_file(tmp_path, capsys):
     out = tmp_path / "rep.json"
     rc, rep = run_cli(capsys, "allowable", "--theta0", "1.0", "--c", "0.1,0",

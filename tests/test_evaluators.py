@@ -1,11 +1,13 @@
 """Bitwise checks of the map evaluators that certify and render call.
 
 ``eval_gridmap`` and ``eval_fc`` skip the work that a one-sided input
-does not need (masks, the unused branch), ``eval_gridmap`` gathers the
-bilinear corners by flat index and ``eval_fangle`` calls ``arctan2``
-without ``np.angle``'s wrapper. The plain forms they replaced are kept
-here as references: every value must agree to the last bit, on each side
-of every branch and on the seams between them.
+does not need (masks, the unused branch) and ``eval_gridmap`` gathers the
+bilinear corners by flat index. ``eval_fangle`` calls ``arctan2`` without
+``np.angle``'s wrapper, works out (z + c*conj(z))/(1 + c) and its argument
+only on the first sector, and lifts both arguments into [0, 2*pi) with a
+masked + 2*pi instead of the float remainder. The plain forms they
+replaced are kept here as references: every value must agree to the last
+bit, on each side of every branch and on the seams between them.
 """
 
 import math
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 from qcmap._arrays import pointwise, unit_circle
-from qcmap.closed_maps import (DiskMapSpec, eval_fangle, eval_fc, fc_map,
-                               sector_invariants)
+from qcmap.closed_maps import (DiskMapSpec, eval_fangle, eval_fc, fangle_map,
+                               fc_map, sector_invariants)
 from qcmap.field import DiskConstant
 from qcmap.modulus import AnnulusSpec, bounding_annuli, certify_bilipschitz
 from qcmap.solver import GridMap, SolverConfig, eval_gridmap, solve_principal
@@ -163,10 +165,36 @@ def test_eval_fc_is_bitwise_the_plain_form(c):
         assert type(got) is complex and got == _ref_eval_fc(spec, z)
 
 
+def _fangle_seams(spec):
+    """Points where a masked + 2*pi and the remainder % 2*pi could differ."""
+    # signed zero imaginary parts on both real half-axes: % makes -0.0 +0.0
+    zeros = np.array([complex(1.0, -0.0), complex(0.5, -0.0),
+                      complex(-1.0, -0.0), complex(-1.0, 0.0)])
+    # the theta0 ray and one ulp of angle to either side, on the lifted arg
+    ulps = spec.theta0 + np.arange(-4, 5) * np.spacing(spec.theta0)
+    near = (np.linspace(0.25, 3.0, 40)[:, None] * np.exp(1j * ulps)).ravel()
+    th = np.angle(near) % _TWO_PI
+    targets = [np.nextafter(spec.theta0, 0.0), spec.theta0,
+               np.nextafter(spec.theta0, 7.0)]
+    on = np.isin(th, targets)
+    assert set(th[on]) == set(targets)
+    ray = near[on]
+    # first-sector points at and just above the positive real axis, where
+    # arg f1 rounds to within 1e-12 of 2*pi and is snapped to 0
+    axis = (np.linspace(0.1, 3.0, 300)[:, None]
+            * np.exp(1j * np.array([0.0, 1e-16, 1e-14, 1e-13]))).ravel()
+    w1 = (axis + spec.c * np.conj(axis)) / (1.0 + spec.c)
+    snap = axis[np.angle(w1) % _TWO_PI > _TWO_PI - 1e-12]
+    assert snap.size >= 5
+    return {"zeros": zeros, "ray": ray, "snap": snap}
+
+
 def test_eval_fangle_is_bitwise_the_plain_form():
-    spec = sector_invariants(0.5 - 0.2j, 1.5707963)
-    for z in _fc_points().values():
-        _assert_bitwise(eval_fangle(spec, z), _ref_eval_fangle(spec, z))
+    # an opening below pi and one above it
+    for spec in (sector_invariants(0.5 - 0.2j, 1.5707963),
+                 sector_invariants(-0.3 + 0.6j, 4.0)):
+        for z in [*_fc_points().values(), *_fangle_seams(spec).values()]:
+            _assert_bitwise(eval_fangle(spec, z), _ref_eval_fangle(spec, z))
 
 
 def test_certify_is_the_same_through_the_plain_evaluators(solved):
@@ -183,6 +211,22 @@ def test_certify_is_the_same_through_the_plain_evaluators(solved):
         assert got.verdict == want.verdict
         assert (got.lipschitz_min, got.lipschitz_max) == \
             (want.lipschitz_min, want.lipschitz_max)
+
+
+def test_certify_fangle_is_the_same_through_the_plain_form():
+    # the settings of acceptance criterion 5
+    spec = sector_invariants(0.5, math.pi / 2)
+    kw = dict(bound=0.2, annuli_per_center=26, r_min=math.exp(-13.0),
+              r_max=1.0)
+    got = certify_bilipschitz(fangle_map(0.5, math.pi / 2), [0.0, 0.4 + 0.3j],
+                              **kw)
+    want = certify_bilipschitz(lambda z: _ref_eval_fangle(spec, z),
+                               [0.0, 0.4 + 0.3j], **kw)
+    assert got.gaps == want.gaps and got.annuli_tested > 0
+    assert got.sup_gap == want.sup_gap
+    assert got.verdict == want.verdict
+    assert (got.lipschitz_min, got.lipschitz_max, got.lipschitz_pairs) == \
+        (want.lipschitz_min, want.lipschitz_max, want.lipschitz_pairs)
 
 
 @pytest.mark.parametrize("samples", [64, 1024, 4096])

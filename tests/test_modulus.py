@@ -322,3 +322,37 @@ def test_certify_lipschitz_ratios_skip_repeated_test_points():
     assert rep.lipschitz_pairs == 2
     assert rep.lipschitz_min == rep.lipschitz_max == pytest.approx(1.5)
     assert rep.verdict
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_certify_lipschitz_subsample_above_4000_pairs(seed):
+    # 100 distinct centers give 4950 pairs, of which default_rng(seed) keeps
+    # 4000; these points are drawn so that for both seeds the kept pairs miss
+    # an extreme of all 4950, so the extremes tell which pairs were kept
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2, 2, 100) + 1j * rng.uniform(-2, 2, 100)
+    f = fc_map(0.5 + 0.2j)
+    rep = certify_bilipschitz(f, pts, bound=3.0, annuli_per_center=1,
+                              circle_samples=64, seed=seed)
+    ii, jj = np.triu_indices(100, k=1)
+    ratios = np.abs(f(pts[ii]) - f(pts[jj])) / np.abs(pts[ii] - pts[jj])
+    keep = np.random.default_rng(seed).choice(4950, size=4000, replace=False)
+    assert rep.lipschitz_pairs == 4000
+    assert (rep.lipschitz_min, rep.lipschitz_max) == \
+        (ratios[keep].min(), ratios[keep].max())
+    assert (ratios[keep].min(), ratios[keep].max()) != (ratios.min(), ratios.max())
+
+
+def test_certify_checks_the_seed_without_a_subsample():
+    # 9 centers give 36 pairs, so no generator is built, yet the seed is
+    # refused as default_rng would refuse it
+    centers = [complex(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    for seed in (-1, np.int64(-2), [3, -1], 1.5, "7"):
+        with pytest.raises(ValueError, match="seed"):
+            certify_bilipschitz(fc_map(0.5), centers, bound=3.0,
+                                annuli_per_center=2, seed=seed)
+    for seed in (None, 2**70, [1, 2], np.random.SeedSequence(1),
+                 np.random.default_rng(1)):
+        rep = certify_bilipschitz(fc_map(0.5), centers, bound=3.0,
+                                  annuli_per_center=2, seed=seed)
+        assert rep.lipschitz_pairs == 36

@@ -28,8 +28,9 @@ def _fresh_python(code, tmp_path):
 
 
 def test_cli_loads_field_only_for_solve(tmp_path):
-    # importing the CLI and running locus and certify of a builtin map
-    # loads none of the lazy modules; solve loads field and nothing else
+    # importing the CLI and running locus and a 9-center certify of a
+    # builtin map loads none of the lazy modules, nor numpy.random (36
+    # Lipschitz pairs need no subsample); solve loads field and nothing else
     code = """if True:
         import contextlib, io, json, pathlib, sys
         import qcmap.cli as cli
@@ -42,8 +43,7 @@ def test_cli_loads_field_only_for_solve(tmp_path):
             for argv in (["locus", "--theta0", "1", "--samples", "4",
                           "--out", "locus.csv"],
                          ["certify", "--map", "builtin:fc:0.5,0", "--centers",
-                          "0,0", "--bound", "2.3", "--annuli", "2",
-                          "--r-min", "0.1", "--r-max", "0.5"]):
+                          "grid:3:1.4", "--bound", "2.3", "--annuli", "2"]):
                 assert cli.main(argv) == 0
                 seen.append(lazy())
             pathlib.Path("f.json").write_text(
@@ -52,7 +52,7 @@ def test_cli_loads_field_only_for_solve(tmp_path):
                              "--out", "m.qcmap"]) == 0
         seen.append(lazy())
         print(json.dumps(seen))
-    """ % (_LAZY_MODULES,)
+    """ % (_LAZY_MODULES | {"numpy.random"},)
     seen = json.loads(_fresh_python(code, tmp_path))
     assert seen == [[], [], [], ["qcmap.field"]]
 
