@@ -6,7 +6,7 @@ and a modulus-gap certifier for bi-Lipschitz behavior.
 
 ``closed_maps``, ``modulus`` and ``solver`` are imported with the package;
 ``extension``, ``lehto`` and ``field`` on the first access to one of their
-names (``qcmap.DiskConstant``, ``from qcmap import lehto_check``) or to the
+names (``qcmap.DiskConstant``, ``from qcmap import lehto_integral``) or to the
 submodule itself, so a process pays only for the modules it uses.
 """
 
@@ -26,21 +26,18 @@ from .closed_maps import (AmbiguousInverseError, DiskMapSpec, LocusResult,
 from .modulus import (AnnulusGapRecord, AnnulusSpec, BoundingAnnuli,
                       CertificateReport, NotSeparatedError,
                       QuasisymmetryBound, bounding_annuli, certify_bilipschitz,
-                      decompose_modulus_gap, default_eta, modulus,
-                      modulus_gap_bounds)
+                      default_eta, modulus, modulus_gap_bounds)
 from .solver import (ConvergenceError, GridMap, SolverConfig, SupportError,
                      cauchy_transform, eval_gridmap, finite_difference_mu,
                      grid_coordinates, singular_transform, solve_principal)
 
 # name -> the submodule that defines it; those submodules load on first access
 _LAZY = {name: module for module, names in (
-    ("extension", ("CircleHomeo", "ExtensionReport", "extend_F", "mu_F",
-                   "validate_extension")),
+    ("extension", ("CircleHomeo", "extend_F", "mu_F")),
     ("field", ("Composite", "DiskConstant", "FieldError", "HolderGrid",
-               "HolderReport", "SectorConstant", "field_from_json",
-               "holder_check", "read_grid_samples", "write_grid_samples")),
-    ("lehto", ("LehtoCheck", "LehtoEstimate", "lehto_check",
-               "lehto_integral")),
+               "SectorConstant", "field_from_json", "read_grid_samples",
+               "write_grid_samples")),
+    ("lehto", ("LehtoEstimate", "lehto_integral")),
 ) for name in names}
 _SUBMODULES = set(_LAZY.values())
 
@@ -64,20 +61,17 @@ def __dir__():
 __all__ = [
     "AmbiguousInverseError", "AnnulusGapRecord", "AnnulusSpec",
     "BoundingAnnuli", "CertificateReport", "CircleHomeo", "Composite",
-    "ConvergenceError", "DiskConstant", "DiskMapSpec", "ExtensionReport",
-    "FieldError", "GridMap", "HolderGrid", "HolderReport", "LehtoCheck",
-    "LehtoEstimate", "LocusResult", "NotSeparatedError", "QuasisymmetryBound",
-    "SectorConstant", "SectorMapSpec", "SolverConfig", "SupportError",
-    "allowable_for_corner", "allowable_locus", "bounding_annuli",
-    "cauchy_transform", "certify_bilipschitz", "compose_dilatation",
-    "decompose_modulus_gap", "default_eta", "eval_fangle", "eval_fc",
-    "eval_fc_inverse", "eval_gridmap", "extend_F", "fangle_map",
-    "fc_map", "field_from_json", "finite_difference_mu",
-    "grid_coordinates", "holder_check", "identity_map", "is_allowable_sector",
-    "lehto_check", "lehto_integral", "modulus", "modulus_gap_bounds", "mu_F",
-    "read_grid_samples", "sector_invariants", "singular_transform",
-    "solve_principal", "validate_extension",
-    "write_grid_samples",
+    "ConvergenceError", "DiskConstant", "DiskMapSpec", "FieldError", "GridMap",
+    "HolderGrid", "LehtoEstimate", "LocusResult", "NotSeparatedError",
+    "QuasisymmetryBound", "SectorConstant", "SectorMapSpec", "SolverConfig",
+    "SupportError", "allowable_for_corner", "allowable_locus",
+    "bounding_annuli", "cauchy_transform", "certify_bilipschitz",
+    "compose_dilatation", "default_eta", "eval_fangle", "eval_fc",
+    "eval_fc_inverse", "eval_gridmap", "extend_F", "fangle_map", "fc_map",
+    "field_from_json", "finite_difference_mu", "grid_coordinates",
+    "identity_map", "is_allowable_sector", "lehto_integral", "modulus",
+    "modulus_gap_bounds", "mu_F", "read_grid_samples", "sector_invariants",
+    "singular_transform", "solve_principal", "write_grid_samples",
 ]
 
 # the time the eager part of this package took to import, numpy included;

@@ -252,8 +252,8 @@ def compose_dilatation(mu1, mu2, arg_df2):
     return out
 
 
-# PlanarMap factories: vectorized callables z -> w used by the certifier,
-# the Lehto cross-check and the CLI.
+# PlanarMap factories: vectorized callables z -> w used by the certifier and
+# the CLI.
 
 def identity_map(z):
     return np.asarray(z, dtype=complex)

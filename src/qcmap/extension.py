@@ -132,46 +132,3 @@ def mu_F(h: CircleHomeo, z):
                       "map is not quasiconformally extendable by this recipe",
                       RuntimeWarning, stacklevel=3)
     return out
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    is_homeo: bool
-    sup_mu: float
-    holder_eps_estimate: float
-
-
-def validate_extension(h: CircleHomeo) -> ExtensionReport:
-    """Scan the extension on a polar grid: injectivity, sup |mu|, Holder fit.
-
-    Injectivity of F on each circle reduces to strict monotonicity of the
-    blended angle r gamma(theta) + (1 - r) theta on 256 angles. Its steps are
-    affine in r, so they are checked at r = 1/256 and r = 1 only. The Holder
-    exponent estimate is the slope of a log-log fit of |mu differences|
-    against the distances of 4000 point pairs drawn with seed 0.
-    """
-    th = np.arange(256) * (_TWO_PI / 256)
-    g = np.asarray(h.gamma(th), dtype=float)
-    is_homeo = not any(np.any(np.diff(r * g + (1.0 - r) * th) <= 0)
-                       for r in (1.0 / 256, 1.0))
-
-    r_in = np.linspace(0.05, 0.95, 64)
-    pts = (r_in[:, None] * np.exp(1j * th[None, :])).ravel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mu = mu_F(h, pts)
-    sup_mu = float(np.abs(mu).max())
-
-    rng = np.random.default_rng(0)
-    i = rng.integers(0, pts.size, size=4000)
-    j = rng.integers(0, pts.size, size=4000)
-    keep = i != j
-    dmu = np.abs(mu[i[keep]] - mu[j[keep]])
-    dz = np.abs(pts[i[keep]] - pts[j[keep]])
-    keep2 = (dmu > 1e-14) & (dz > 1e-14)
-    if keep2.sum() >= 10:
-        slope = np.polyfit(np.log(dz[keep2]), np.log(dmu[keep2]), 1)[0]
-    else:
-        slope = math.nan
-    return ExtensionReport(is_homeo=is_homeo, sup_mu=sup_mu,
-                           holder_eps_estimate=float(slope))

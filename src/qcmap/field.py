@@ -127,8 +127,8 @@ class HolderGrid:
     interpolation. Points outside the box, or in cells with no masked corner,
     evaluate to zero.
 
-    ``epsilon`` and ``holder_c`` are user-declared Holder metadata that
-    :func:`holder_check` verifies by sampling; they are never inferred.
+    ``epsilon`` and ``holder_c`` are declared Holder metadata: validated on
+    entry and kept in the JSON spec, but neither verified nor inferred.
     """
 
     samples: np.ndarray
@@ -283,57 +283,6 @@ def _supports_overlap(a, b):
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     return bool(np.any(a.support_contains(Z) & b.support_contains(Z)))
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    max_violation: float
-    pairs: int
-
-
-def holder_check(field, pair_count=1000, seed=0):
-    """Spot-check declared Holder metadata on sampled node pairs.
-
-    Draws ``pair_count`` random pairs of masked grid nodes and reports the
-    maximum of |mu(x) - mu(y)| - C |x - y|^epsilon. A value <= 0 means the
-    samples are consistent with the declared constant and exponent.
-    """
-    grids = _holder_members(field)
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    total = 0
-    for g in grids:
-        iy, ix = np.nonzero(g.mask)
-        if len(ix) < 2:
-            continue
-        n = max(1, pair_count // len(grids))
-        ia = rng.integers(0, len(ix), size=n)
-        ib = rng.integers(0, len(ix), size=n)
-        keep = ia != ib
-        ia, ib = ia[keep], ib[keep]
-        xs, ys = g.node_coordinates()
-        za = xs[ix[ia]] + 1j * ys[iy[ia]]
-        zb = xs[ix[ib]] + 1j * ys[iy[ib]]
-        va = g.samples[iy[ia], ix[ia]]
-        vb = g.samples[iy[ib], ix[ib]]
-        viol = np.abs(va - vb) - g.holder_c * np.abs(za - zb) ** g.epsilon
-        if viol.size:
-            worst = max(worst, float(viol.max()))
-            total += viol.size
-    if total == 0:
-        raise FieldError("no sampled pairs available for the Holder check")
-    return HolderReport(max_violation=worst, pairs=total)
-
-
-def _holder_members(field):
-    if isinstance(field, HolderGrid):
-        return [field]
-    if isinstance(field, Composite):
-        grids = [m for m in field.members if isinstance(m, HolderGrid)]
-        if len(grids) != len(field.members):
-            raise FieldError("holder_check needs HolderGrid members only")
-        return grids
-    raise FieldError("holder_check needs a HolderGrid or a composite of them")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulus import AnnulusSpec, bounding_annuli, modulus
+from .modulus import AnnulusSpec, modulus
 
 _MAX_CELLS = 1 << 24
 
@@ -71,56 +71,3 @@ def lehto_integral(mu, a: AnnulusSpec, tol=1e-6,
         prev = value
         n_rho *= 2
         n_theta *= 2
-
-
-@dataclass(frozen=True)
-class LehtoCheck:
-    """One-sided consistency of the sandwich gap against the integral bound."""
-
-    lhs_low: float
-    lhs_high: float
-    rhs: float
-    consistent: bool
-    mu_spot_median_error: float
-
-
-def lehto_check(f, mu, a: AnnulusSpec, ck=1.0) -> LehtoCheck:
-    """Check |M(f(A)) - M(A)| <= C(K) * integral on one annulus.
-
-    The left side is only known to lie in the interval of the (M(E), M(D))
-    sandwich, so consistency means its lower end is at most ck times the
-    integral (to tolerance 1e-6). That mu is the dilatation of f is the
-    caller's responsibility; it is spot-checked by central differences at 16
-    points of the annulus (seed 0), reporting the median mismatch, which
-    tolerates a few samples straddling jump curves.
-    """
-    lower, upper = bounding_annuli(f, a).sandwich()
-    m = modulus(a)
-    if lower <= m <= upper:
-        lhs_low = 0.0
-    else:
-        lhs_low = min(abs(lower - m), abs(upper - m))
-    lhs_high = max(abs(lower - m), abs(upper - m))
-
-    rhs = float(ck) * lehto_integral(mu, a).value
-
-    rng = np.random.default_rng(0)
-    rho = np.sqrt(rng.uniform(a.r1 ** 2, a.r2 ** 2, size=16))
-    ang = rng.uniform(0.0, 2.0 * math.pi, size=16)
-    z = a.center + rho * np.exp(1j * ang)
-    step = 1e-6 * (1.0 + np.abs(z))
-    fe = np.asarray(f(z + step))
-    fw = np.asarray(f(z - step))
-    fn = np.asarray(f(z + 1j * step))
-    fs = np.asarray(f(z - 1j * step))
-    dx = (fe - fw) / (2.0 * step)
-    dy = (fn - fs) / (2.0 * step)
-    dz = 0.5 * (dx - 1j * dy)
-    dzbar = 0.5 * (dx + 1j * dy)
-    ok = np.abs(dz) > 1e-8
-    mu_val = np.atleast_1d(_mu_at(mu, z))
-    spot = float(np.median(np.abs(dzbar[ok] / dz[ok] - mu_val[ok]))) if ok.any() else math.nan
-
-    return LehtoCheck(lhs_low=lhs_low, lhs_high=lhs_high, rhs=rhs,
-                      consistent=lhs_low <= rhs + 1e-9,
-                      mu_spot_median_error=spot)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import count, unit_circle
-from .closed_maps import DiskMapSpec, eval_fc_inverse, fc_map
 
 
 class NotSeparatedError(RuntimeError):
@@ -203,6 +202,31 @@ class CertificateReport:
                 "gaps": [g.to_dict() for g in self.gaps]}
 
 
+def _lipschitz_pairs(pts, seed):
+    """At most 4000 pairs (ii, jj) of distinct points, i < j.
+
+    The pairs are ranked row by row, as ``np.triu_indices`` lists them, and
+    above 4000 ``default_rng(seed)`` draws the kept ranks. Each rank maps back
+    to its row through the running pair counts, and only the drawn rows that
+    hold a repeated point are listed, so memory stays linear in len(pts).
+    """
+    counts = np.array([np.count_nonzero(pts[i + 1:] != p) for i, p in enumerate(pts)])
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total > 4000:
+        ranks = np.random.default_rng(seed).choice(total, 4000, replace=False)
+    else:
+        ranks = np.arange(total)
+    ii = np.searchsorted(ends, ranks, side="right")
+    offset = ranks - (ends - counts)[ii]
+    jj = ii + 1 + offset  # the j of a row without a repeat of its point
+    # the drawn rows with a repeat; a set, as np.unique would load numpy.ma
+    for i in set(ii[counts[ii] < pts.size - 1 - ii].tolist()):
+        at = ii == i
+        jj[at] = i + 1 + np.flatnonzero(pts[i + 1:] != pts[i])[offset[at]]
+    return ii, jj
+
+
 def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
                         circle_samples=1024, r_min=None, r_max=None, seed=0,
                         resolution=None) -> CertificateReport:
@@ -286,12 +310,7 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
     if not records and not (nonfinite or unresolved):
         raise NotSeparatedError("all annuli were skipped as not separated")
 
-    ii, jj = np.triu_indices(pts.size, k=1)
-    distinct = pts[ii] != pts[jj]  # a repeated point gives no ratio
-    ii, jj = ii[distinct], jj[distinct]
-    if ii.size > 4000:
-        keep = np.random.default_rng(seed).choice(ii.size, 4000, replace=False)
-        ii, jj = ii[keep], jj[keep]
+    ii, jj = _lipschitz_pairs(pts, seed)
     if ii.size:
         fz = np.asarray(f(pts))
         ratios = np.abs(fz[ii] - fz[jj]) / np.abs(pts[ii] - pts[jj])
@@ -307,27 +326,3 @@ def certify_bilipschitz(f, test_set, bound, mu=None, annuli_per_center=20,
         verdict=not (nonfinite or unresolved) and sup_gap <= bound,
         mu_sup=None if mu is None else float(mu.sup_norm), nonfinite=nonfinite,
         unresolved=unresolved, r_min=float(r_min), r_max=float(r_max))
-
-
-def decompose_modulus_gap(f, fc_spec: DiskMapSpec, a: AnnulusSpec):
-    """Split the modulus gap of f over A through the comparison map f_c.
-
-    With g = f composed with the inverse of f_c, and E the inner bounding
-    annulus of f_c(A), returns the triangle pieces
-    t1 = |est M(f(A)) - est M(g(E))|, t2 = |est M(g(E)) - M(E)|,
-    t3 = |M(E) - M(A)|, each image modulus estimate the midpoint of its
-    sandwich (1024 samples per circle). Their sum dominates the certified gap
-    up to sandwich slack.
-    """
-    e_ann = bounding_annuli(fc_map(fc_spec), a).E  # raises NotSeparatedError
-
-    def g(w):
-        return np.asarray(f(eval_fc_inverse(fc_spec, w)))
-
-    est_f = 0.5 * sum(bounding_annuli(f, a).sandwich())
-    est_g = 0.5 * sum(bounding_annuli(g, e_ann).sandwich())
-    me = modulus(e_ann)
-    t1 = abs(est_f - est_g)
-    t2 = abs(est_g - me)
-    t3 = abs(me - modulus(a))
-    return t1, t2, t3

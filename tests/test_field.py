@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
-                         SectorConstant, field_from_json, holder_check,
-                         read_grid_samples, write_grid_samples)
+                         SectorConstant, field_from_json, read_grid_samples,
+                         write_grid_samples)
 
 
 def test_disk_constant_inside_outside():
@@ -97,48 +97,6 @@ def test_holder_grid_mask_gates_support():
     assert g.evaluate(-0.5 + 0.1j) == 0.5
     assert g.evaluate(0.5 + 0.1j) == 0.0
     assert g.support_contains(-0.5) and not g.support_contains(0.5)
-
-
-def test_holder_check_constant_grid():
-    g = _grid_of(lambda z: np.full(z.shape, 0.3 + 0j), epsilon=0.5, holder_c=0.1)
-    rep = holder_check(g, pair_count=500, seed=1)
-    assert rep.max_violation <= 0.0
-    assert rep.pairs > 0
-
-
-def test_holder_check_sqrt_profile_consistent():
-    # |a^(1/2) - b^(1/2)| <= |a - b|^(1/2), so C = 0.3 and eps = 1/2 hold
-    # exactly on the sampled nodes
-    g = _grid_of(lambda z: 0.3 * np.sqrt(np.abs(z)).astype(complex),
-                 epsilon=0.5, holder_c=0.3)
-    rep = holder_check(g, pair_count=4000, seed=2)
-    assert rep.max_violation <= 1e-12
-
-
-def test_holder_check_detects_jump():
-    def jump(z):
-        return np.where(z.real > 0, 0.8, 0.0).astype(complex)
-
-    # mesh is ~0.02, so the jump of height 0.8 violates C * mesh^eps = 0.07
-    g = _grid_of(jump, epsilon=0.5, holder_c=0.5)
-    rep = holder_check(g, pair_count=4000, seed=3)
-    assert rep.max_violation > 0.0
-
-
-def test_holder_check_rejects_constants():
-    with pytest.raises(FieldError):
-        holder_check(DiskConstant(c=0.5))
-    with pytest.raises(FieldError):
-        holder_check(Composite((DiskConstant(c=0.5),)))
-
-
-def test_holder_check_composite_of_grids():
-    left = HolderGrid(samples=np.full((9, 9), 0.2, dtype=complex),
-                      bbox=(-3, -1, -1, 1), epsilon=0.5, holder_c=0.5)
-    right = HolderGrid(samples=np.full((9, 9), -0.1j, dtype=complex),
-                       bbox=(1, -1, 3, 1), epsilon=0.5, holder_c=0.5)
-    rep = holder_check(Composite((left, right)), pair_count=400, seed=4)
-    assert rep.max_violation <= 0.0
 
 
 def test_composite_dispatch_and_disjointness():

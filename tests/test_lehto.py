@@ -1,13 +1,12 @@
-"""Tests for the singular annulus integral and the inequality cross-check."""
+"""Tests for the singular annulus integral."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qcmap.closed_maps import fc_map
 from qcmap.field import DiskConstant
-from qcmap.lehto import lehto_check, lehto_integral
+from qcmap.lehto import lehto_integral
 from qcmap.modulus import AnnulusSpec
 
 
@@ -19,6 +18,13 @@ def test_constant_field_closed_form():
     assert est.converged
     assert est.abs_error <= 1e-4
     assert est.value == pytest.approx(2 * math.pi * 0.5 * math.log(100.0), abs=1e-4)
+
+
+def test_support_ending_inside_annulus():
+    # the unit disk meets A(0, 0.1, 10) in A(0, 0.1, 1): 2*pi*0.5*log(10)
+    est = lehto_integral(DiskConstant(c=0.5), AnnulusSpec(0, 0.1, 10.0))
+    assert est.converged
+    assert est.value == pytest.approx(math.pi * math.log(100.0) * 0.5, abs=1e-3)
 
 
 def test_zero_field():
@@ -92,42 +98,3 @@ def test_nonconvergence_flag():
                          max_cells=1 << 14)
     assert not est.converged
     assert est.abs_error > 1e-12
-
-
-def test_lehto_check_conformal_region():
-    # annulus far outside the support: integral is 0 and the sandwich
-    # interval for |M(f(A)) - M(A)| must reach down to 0
-    mu = DiskConstant(c=0.5)
-    f = fc_map(0.5)
-    chk = lehto_check(f, mu, AnnulusSpec(0, 5.0, 50.0), ck=1.0)
-    assert chk.rhs == 0.0
-    assert chk.lhs_low <= 1e-9
-    assert chk.consistent
-    assert chk.mu_spot_median_error < 1e-5
-
-
-def test_lehto_check_disk_field():
-    mu = DiskConstant(c=0.5)
-    f = fc_map(0.5)
-    chk = lehto_check(f, mu, AnnulusSpec(0, 0.1, 10.0), ck=1.0)
-    # one-sided check: the gap interval lower end sits below C(K) * integral
-    assert chk.lhs_high <= math.log(3.0) + 1e-9
-    assert chk.rhs == pytest.approx(math.pi * math.log(100.0) * 0.5, abs=1e-3)
-    assert chk.consistent
-    assert chk.mu_spot_median_error < 1e-5
-
-
-def test_lehto_check_not_separated_propagates():
-    from qcmap.modulus import NotSeparatedError
-
-    with pytest.raises(NotSeparatedError):
-        lehto_check(fc_map(0.5), DiskConstant(c=0.5), AnnulusSpec(0, 1.0, 1.2))
-
-
-def test_lehto_check_spots_wrong_field():
-    # handing the check a field that is not the dilatation of f shows up in
-    # the finite-difference spot diagnostic
-    wrong = DiskConstant(c=0.45)
-    f = fc_map(0.2)
-    chk = lehto_check(f, wrong, AnnulusSpec(0, 0.2, 0.9), ck=1.0)
-    assert chk.mu_spot_median_error > 0.2

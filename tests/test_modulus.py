@@ -1,16 +1,17 @@
 """Tests for annulus moduli, bounding annuli and the gap certifier."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qcmap.closed_maps import DiskMapSpec, eval_fc, fc_map, identity_map
+from qcmap.closed_maps import fc_map, identity_map
 from qcmap.field import DiskConstant
-from qcmap.modulus import (AnnulusSpec, NotSeparatedError, bounding_annuli,
-                           certify_bilipschitz, decompose_modulus_gap,
-                           default_eta, modulus, modulus_gap_bounds)
+from qcmap.modulus import (AnnulusSpec, NotSeparatedError, _lipschitz_pairs,
+                           bounding_annuli, certify_bilipschitz, default_eta,
+                           modulus, modulus_gap_bounds)
 from qcmap.solver import SolverConfig, solve_principal
 
 
@@ -259,57 +260,22 @@ def test_certify_report_dict_shape():
                                  "lower", "upper", "gap"}
 
 
-def test_decompose_identity_zero():
-    t1, t2, t3 = decompose_modulus_gap(identity_map, DiskMapSpec(0.0),
-                                       AnnulusSpec(0, 0.1, 10.0))
-    assert t1 == pytest.approx(0.0, abs=1e-12)
-    assert t2 == pytest.approx(0.0, abs=1e-12)
-    assert t3 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_decompose_f_equals_fc():
-    # composing fc with its own inverse leaves the identity: t2 vanishes and
-    # t3 is the roundness defect of the inner bounding annulus
-    spec = DiskMapSpec(0.5)
-    a = AnnulusSpec(0.2, 0.05, 8.0)
-    t1, t2, t3 = decompose_modulus_gap(fc_map(0.5), spec, a)
-    assert t2 == pytest.approx(0.0, abs=1e-9)
-    assert t3 <= 2 * math.log(3.0) + 1e-9
-
-
-def test_decompose_triangle_dominates_gap():
-    f = fc_map(0.5)
-    spec = DiskMapSpec(0.2)
-    rng = np.random.default_rng(17)
-    checked = 0
-    for _ in range(100):
-        center = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        r1 = 10 ** rng.uniform(-2, -0.5)
-        r2 = r1 * math.exp(rng.uniform(3.0, 6.0))
-        a = AnnulusSpec(center, r1, r2)
-        try:
-            t1, t2, t3 = decompose_modulus_gap(f, spec, a)
-        except NotSeparatedError:
-            continue
-        ba = bounding_annuli(f, a)
-        lower = math.log(ba.rho2 / ba.R1)
-        upper = math.log(ba.R2 / ba.rho1)
-        gap = max(abs(upper - modulus(a)), abs(lower - modulus(a)))
-        # midpoint estimates can undershoot by at most the sandwich slack
-        assert gap <= t1 + t2 + t3 + 2 * (upper - lower) + 1e-9
-        checked += 1
-    assert checked >= 80
-
-
 def test_default_r_max_is_four_diameters_of_a_large_test_set():
     # 2001 points on the unit circle: the diameter is the longest chord,
     # not the bounding-box diagonal 2*sqrt(2)
     n = 2001
     pts = np.exp(2j * math.pi * np.arange(n) / n)
-    rep = certify_bilipschitz(identity_map, pts, bound=1.0,
-                              annuli_per_center=1, circle_samples=64)
+    tracemalloc.start()
+    try:
+        rep = certify_bilipschitz(identity_map, pts, bound=1.0,
+                                  annuli_per_center=1, circle_samples=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.r_max == pytest.approx(4 * 2 * math.sin(math.pi * 1000 / n),
                                       rel=1e-12)
+    # the 4000 Lipschitz pairs are drawn without listing all 2,001,000
+    assert peak < 16e6
 
 
 def test_certify_lipschitz_ratios_skip_repeated_test_points():
@@ -341,6 +307,29 @@ def test_certify_lipschitz_subsample_above_4000_pairs(seed):
     assert (rep.lipschitz_min, rep.lipschitz_max) == \
         (ratios[keep].min(), ratios[keep].max())
     assert (ratios[keep].min(), ratios[keep].max()) != (ratios.min(), ratios.max())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_certify_lipschitz_subsample_skips_repeated_points(seed):
+    # 120 centers on 30 distinct points: 6913 distinct pairs, so a subsample;
+    # the reference lists every pair and drops the repeats before drawing
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)
+    pts = base[rng.integers(0, 30, 120)]
+    f = fc_map(0.5 + 0.2j)
+    rep = certify_bilipschitz(f, pts, bound=3.0, annuli_per_center=1,
+                              circle_samples=64, seed=seed)
+    ii, jj = np.triu_indices(pts.size, k=1)
+    distinct = pts[ii] != pts[jj]
+    ii, jj = ii[distinct], jj[distinct]
+    assert ii.size > 4000
+    keep = np.random.default_rng(seed).choice(ii.size, 4000, replace=False)
+    ii, jj = ii[keep], jj[keep]
+    picked = _lipschitz_pairs(pts, seed)
+    assert np.array_equal(picked[0], ii) and np.array_equal(picked[1], jj)
+    ratios = np.abs(f(pts[ii]) - f(pts[jj])) / np.abs(pts[ii] - pts[jj])
+    assert rep.lipschitz_pairs == 4000
+    assert (rep.lipschitz_min, rep.lipschitz_max) == (ratios.min(), ratios.max())
 
 
 def test_certify_checks_the_seed_without_a_subsample():
