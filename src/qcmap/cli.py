@@ -212,9 +212,9 @@ def _cmd_solve(args):
         return 3, config, {"converged": False, "residual": exc.residual,
                            "iterations": exc.iterations,
                            "iteration_error_bound": exc.error_bound}
+    oracle = _disk_oracle_error(mu, gm)
     gm.save(args.out)
     result = {"converged": True, "out": args.out, **gm.to_dict()}
-    oracle = _disk_oracle_error(mu, gm)
     if oracle is not None:
         result["oracle_sup_error"] = oracle
     return 0, config, result
@@ -224,7 +224,8 @@ def _disk_oracle_error(mu, gm):
     """Sup error against the closed-form disk solution, when it applies.
 
     The sup is over the nodes within two radii of the disk's center, found
-    on the rows and columns that reach that far, not on the whole grid.
+    on the rows and columns that reach that far, not on the whole grid;
+    None without such a node (a disk much smaller than a cell).
     """
     from .field import DiskConstant
 
@@ -240,6 +241,8 @@ def _disk_oracle_error(mu, gm):
     rows = np.flatnonzero(np.abs(ys - mu.center.imag) <= reach)
     w = (xs[None, cols] + 1j * ys[rows, None] - mu.center) / mu.radius
     sel = np.abs(w) <= 2.0
+    if not sel.any():
+        return None
     exact = mu.center + mu.radius * eval_fc(DiskMapSpec(mu.c), w[sel])
     return float(np.abs(gm.values[np.ix_(rows, cols)][sel] - exact).max())
 
@@ -347,7 +350,8 @@ def _parser_tree():
     ps = sub.add_parser("solve", help="solve the Beltrami equation on a grid")
     ps.add_argument("--field", required=True, help="field spec JSON path")
     ps.add_argument("--grid-n", type=int, default=SolverConfig.grid_n)
-    ps.add_argument("--pad-factor", type=_finite, default=SolverConfig.pad_factor)
+    ps.add_argument("--pad-factor", type=_finite, default=SolverConfig.pad_factor,
+                    help="box half-width in support radii, 2 to grid_n / 2")
     ps.add_argument("--tol", type=_finite, default=SolverConfig.tol,
                     help="stop when the bound on the change still to come "
                          "in Phi is <= tol, in map units (default: 0.01*h, "

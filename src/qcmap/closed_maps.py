@@ -16,7 +16,6 @@ import numpy as np
 
 from ._arrays import coefficient, count, opening, pointwise
 
-_TWO_PI = 2.0 * math.pi
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
@@ -84,9 +83,10 @@ def eval_fc_inverse(spec, w):
 
     Inside the image of the closed unit disk the map is real-linear and the
     inverse is (w - c*conj(w)) / (1 - |c|^2); outside, solve z^2 - w z + c = 0
-    and keep the root of modulus > 1. Raises AmbiguousInverseError only if the
-    two branches both claim the point (within 1e-9 of the seam) yet
-    disagree by more than 1e-6.
+    and keep the root of modulus > 1, (w + s) / 2 for s = sqrt(w^2 - 4c) with
+    Re(conj(w) s) >= 0, as |w + s|^2 - |w - s|^2 = 4 Re(conj(w) s). Raises
+    AmbiguousInverseError only if the two branches both claim the point
+    (within 1e-9 of the seam) yet disagree by more than 1e-6.
     """
     spec = _coerce_spec(spec)
     c = spec.c
@@ -96,10 +96,7 @@ def eval_fc_inverse(spec, w):
     s = np.sqrt(w * w - 4.0 * c)
     flip = np.real(np.conj(w) * s) < 0
     s[flip] = -s[flip]
-    z1 = 0.5 * (w + s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = np.where(z1 != 0, c / np.where(z1 != 0, z1, 1.0), 0.0)
-    z_out = np.where(np.abs(z1) >= np.abs(z2), z1, z2)
+    z_out = 0.5 * (w + s)
 
     out = np.where(use_in, z_in, z_out)
     # the outside branch must land outside; failures can only occur within
@@ -122,9 +119,9 @@ def sector_invariants(c, theta0):
     theta0 = opening(theta0)
     w = (np.exp(1j * theta0) + c * np.exp(-1j * theta0)) / (1.0 + c)
     R = abs(w)
-    theta1 = float(np.angle(w)) % _TWO_PI
+    theta1 = float(np.angle(w)) % math.tau
     a = w / np.exp(1j * theta0)
-    lam = 2j * math.pi / (math.log(R) + 1j * (_TWO_PI + theta1 - theta0))
+    lam = 2j * math.pi / (math.log(R) + 1j * (math.tau + theta1 - theta0))
     return SectorMapSpec(c=c, theta0=theta0, R=R, theta1=theta1,
                          a=complex(a), lam=complex(lam))
 
@@ -146,16 +143,16 @@ def eval_fangle(spec, z):
     nz = z != 0
     zv = z[nz]
     th = np.arctan2(zv.imag, zv.real)
-    th[th < 0.0] += _TWO_PI
+    th[th < 0.0] += math.tau
     first = th < spec.theta0
     w1 = spec.a * zv  # over every point: cheaper than picking out the rest
     lift = th + (spec.theta1 - spec.theta0)
     z1 = zv[first]
     w1[first] = w = (z1 + spec.c * np.conj(z1)) / (1.0 + spec.c)
     arg1 = np.arctan2(w.imag, w.real)
-    arg1[arg1 < 0.0] += _TWO_PI
+    arg1[arg1 < 0.0] += math.tau
     # points on the positive real axis can round to arg ~ 2*pi; snap them back
-    lift[first] = np.where(arg1 > _TWO_PI - 1e-12, 0.0, arg1)
+    lift[first] = np.where(arg1 > math.tau - 1e-12, 0.0, arg1)
     out[nz] = np.exp(spec.lam * (np.log(np.abs(w1)) + 1j * lift))
     return out
 
@@ -225,7 +222,7 @@ def allowable_locus(theta0, samples=256):
     # the degenerate openings expm1(2i*d) keeps the digits of d
     k = round(theta0 / math.pi)
     d = (theta0 - k * math.pi) - k * _PI_LO
-    s_max = 2.0 * math.asin(math.sqrt((d if d >= 0.0 else math.pi + d) / _TWO_PI))
+    s_max = 2.0 * math.asin(math.sqrt((d if d >= 0.0 else math.pi + d) / math.tau))
     s = s_max * ((2.0 * np.arange(samples) + 1.0) / samples - 1.0)
     u = 1j * math.pi * np.expm1(1j * s)
     rot = 2j * d

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._arrays import pointwise
 
-_TWO_PI = 2.0 * math.pi
 _SPECTRAL_N = 4096
 
 
@@ -78,17 +77,17 @@ class CircleHomeo:
 
 
 def _spectral_derivative(gamma, n=_SPECTRAL_N):
-    th = np.arange(n) * (_TWO_PI / n)
+    th = np.arange(n) * (math.tau / n)
     d = np.asarray(gamma(th), dtype=float) - th
     coeffs = np.fft.fft(d)
     k = np.fft.fftfreq(n) * n
     k[n // 2] = 0.0  # drop the unmatched Nyquist mode of the derivative
     dprime = np.real(np.fft.ifft(1j * k * coeffs))
     dense = np.concatenate([dprime, dprime[:1]])
-    grid = np.linspace(0.0, _TWO_PI, n + 1)
+    grid = np.linspace(0.0, math.tau, n + 1)
 
     def gamma_prime(t):
-        tt = np.asarray(t, dtype=float) % _TWO_PI
+        tt = np.asarray(t, dtype=float) % math.tau
         return 1.0 + np.interp(tt, grid, dense)
 
     return gamma_prime
@@ -100,7 +99,7 @@ def extend_F(h: CircleHomeo, z):
     r = np.abs(z)
     if np.any(r > 1.0 + 1e-12):
         raise ValueError("extend_F is defined on the closed unit disk only")
-    th = np.angle(z) % _TWO_PI
+    th = np.angle(z) % math.tau
     ang = r * np.asarray(h.gamma(th), dtype=float) + (1.0 - r) * th
     out = r * np.exp(1j * ang)
     out[r == 0] = 0.0
@@ -121,7 +120,7 @@ def mu_F(h: CircleHomeo, z):
     r = np.abs(z)
     if np.any((r <= 0) | (r >= 1.0)):
         raise ValueError("mu_F needs 0 < |z| < 1")
-    th = np.angle(z) % _TWO_PI
+    th = np.angle(z) % math.tau
     g = np.asarray(h.gamma(th), dtype=float)
     gp = np.asarray(h.gamma_prime(th), dtype=float)
     num = r * (1.0 - gp) + 1j * r * (g - th)

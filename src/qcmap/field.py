@@ -25,8 +25,6 @@ from ._arrays import (box, coefficient, count, opening, pointwise, read_grid,
 
 FIELD_MAGIC = b"QCFLD1\x00\x00"
 
-_TWO_PI = 2.0 * math.pi
-
 
 class FieldError(ValueError):
     """Invalid dilatation field specification."""
@@ -66,7 +64,7 @@ class DiskConstant:
 
     @pointwise
     def evaluate(self, z):
-        return np.where(np.abs(z - self.center) <= self.radius, self.c, 0.0)
+        return np.where(self.support_contains(z), self.c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,8 @@ class SectorConstant:
 
     @pointwise
     def support_contains(self, z):
-        ang = np.angle(z * np.exp(-1j * self.beta)) % _TWO_PI
-        inside = (ang < self.theta0) & (z != 0)
-        if math.isfinite(self.radius):
-            inside &= np.abs(z) <= self.radius
-        return inside
+        ang = np.angle(z * np.exp(-1j * self.beta)) % math.tau
+        return (ang < self.theta0) & (z != 0) & (np.abs(z) <= self.radius)
 
     @pointwise
     def evaluate(self, z):
@@ -157,10 +152,7 @@ class HolderGrid:
             if mask.shape != samples.shape:
                 raise FieldError("mask shape must match samples shape")
         object.__setattr__(self, "mask", mask)
-        if mask.any():
-            sup = float(np.abs(samples[mask]).max())
-        else:
-            sup = 0.0
+        sup = float(np.abs(samples[mask]).max(initial=0.0))
         if sup >= 1.0:
             raise FieldError(f"sup |mu| over masked samples is {sup}, must be < 1")
         object.__setattr__(self, "_sup", sup)
@@ -225,7 +217,8 @@ class HolderGrid:
 
 @dataclass(frozen=True)
 class Composite:
-    """Union of fields with pairwise disjoint supports."""
+    """Union of fields with pairwise disjoint supports; evaluate raises
+    FieldError at a point that two members' supports both contain."""
 
     members: tuple
 
@@ -261,6 +254,9 @@ class Composite:
 
     @pointwise
     def evaluate(self, z):
+        inside = [m.support_contains(z) for m in self.members]
+        if np.any(np.count_nonzero(inside, axis=0) > 1):
+            raise FieldError("composite members' supports overlap at a point")
         out = np.zeros(z.shape, dtype=complex)
         for m in self.members:
             out = out + m.evaluate(z)

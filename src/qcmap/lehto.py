@@ -49,8 +49,6 @@ def lehto_integral(mu, a: AnnulusSpec, tol=1e-6,
     u0, u1 = math.log(a.r1), math.log(a.r2)
 
     prev = None
-    value = 0.0
-    cells = 0
     while True:
         du = (u1 - u0) / n_rho
         dth = 2.0 * math.pi / n_theta

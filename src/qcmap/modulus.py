@@ -119,8 +119,8 @@ def default_eta(K):
     bounds exist but only thresholds, not estimates, depend on eta.
     """
     K = float(K)
-    if K < 1.0:
-        raise ValueError("K must be >= 1")
+    if not 1.0 <= K < math.inf:
+        raise ValueError(f"K must be finite and >= 1, got {K}")
     scale = 16.0 ** K
 
     def eta(t):

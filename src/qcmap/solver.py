@@ -56,8 +56,8 @@ Between solves at n=512 they hold 7.6 MB, 6.6 of it the Cauchy entry,
 and a solve adds at most 1.0 MB. The first solve on a grid builds the
 Cauchy entry and the torus S: in a fresh process its kernels phase takes
 about 9, 28 and 111 ms at n=256, 512 and 1024 (2 cores, medians of 11).
-kappa is computed from the Cauchy entry once per grid and kept, one float
-per grid, in a cache of up to 4 entries.
+kappa, the Cauchy step's l2 gain in the stop bound, is computed once with
+the Cauchy entry and kept in it.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ class SolverConfig:
     """Grid and stop rule of solve_principal.
 
     The grid has grid_n square cells per side, a power of two >= 64, on a
-    box pad_factor times the field's support radius. tol is in map units:
-    the solve stops at the first sweep whose iteration_error_bound, a bound
-    on the change still to come in Phi, is at most tol (None: 0.01 of a
-    cell side). After max_iter sweeps without that it raises
+    box pad_factor times the field's support radius, with 2 <= pad_factor
+    <= grid_n / 2: beyond, a cell side exceeds that radius. tol is in map
+    units: the solve stops at the first sweep whose iteration_error_bound,
+    a bound on the change still to come in Phi, is at most tol (None: 0.01
+    of a cell side). After max_iter sweeps without that it raises
     ConvergenceError.
     """
 
@@ -112,8 +113,8 @@ class SolverConfig:
         object.__setattr__(self, "max_iter", count(self.max_iter, "max_iter"))
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
-        if not 2.0 <= self.pad_factor < math.inf:
-            raise ValueError("pad_factor must be finite and >= 2")
+        if not 2.0 <= self.pad_factor <= n / 2:
+            raise ValueError(f"need 2 <= pad_factor <= grid_n / 2 = {n // 2}")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise ValueError("tol must be None or positive and finite")
         if self.max_iter < 1:
@@ -132,6 +133,8 @@ def grid_coordinates(bbox, n):
 
 def _next_5_smooth(n):
     """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     while True:
         k = n
         for p in (2, 3, 5):
@@ -223,7 +226,7 @@ def _cauchy_kernel(my, mx):
     = (log(a^2 + b^2) / 2 - 1) + i atan2(b, a), the principal branch. That
     branch needs a correction on the row ky = 0: there the vertical
     antiderivative path crosses the negative real cut for source columns
-    right of the evaluation point.
+    right of the evaluation point: on the quadrant, half the cell kx = 0.
 
     The cell is symmetric about both axes, so K(conj u) = conj K(u) and
     K(-u) = -K(u): the closed form is taken only on the quadrant of offsets
@@ -246,7 +249,7 @@ def _cauchy_kernel(my, mx):
     Q += G[1:, :-1]
     del G
     Q *= 1j
-    Q[0] += -2.0 * math.pi * (0.5 - np.clip(np.arange(nx + 1), -0.5, 0.5))
+    Q[0, 0] -= math.pi
     Q /= math.pi
     # Q[jy, jx] = K(jx + i jy); rows and columns of K below its center hold
     # the offsets -ny ... -1 and -nx ... -1, read from Q backwards
@@ -280,8 +283,11 @@ def _placed_hat(K, shift=0):
 
 @functools.lru_cache(maxsize=2)
 def _cauchy_hat(my, mx, shift=0):
-    """_placed_hat of the unit-cell Cauchy kernel on an my-by-mx grid."""
-    return _placed_hat(_cauchy_kernel(my, mx), shift)
+    """(_placed_hat, l2 norm) of the unit-cell Cauchy kernel on an my-by-mx
+    grid; the norm, ||K_hat||_F / sqrt(my mx) by Parseval, is the Cauchy
+    step's gain per cell side (kappa / s in solve_principal)."""
+    khat = _placed_hat(_cauchy_kernel(my, mx), shift)
+    return khat, math.sqrt(np.vdot(khat, khat).real / khat.size)
 
 
 _S_TORUS = {}
@@ -347,8 +353,8 @@ def singular_transform(g, period=None):
     periodization warning treats the window as centered in its period.
     """
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2:
-        raise ValueError("expected a 2D complex array")
+    if g.ndim != 2 or g.size == 0:
+        raise ValueError(f"expected a nonempty 2D complex array, got {g.shape}")
     wy, wx = g.shape
     ny, nx = g.shape if period is None else period
     if wy > ny or wx > nx:
@@ -373,30 +379,17 @@ def cauchy_transform(g, h, border=0):
     2 (size + border) cells per axis (2n for n = 2^k).
     """
     g = np.asarray(g, dtype=complex)
+    if g.ndim != 2 or g.size == 0:
+        raise ValueError(f"expected a nonempty 2D complex array, got {g.shape}")
     wy, wx = g.shape
-    khat_t = _cauchy_hat(*(_cauchy_size(m, border) for m in g.shape),
-                         shift=border)
+    khat_t, _ = _cauchy_hat(*(_cauchy_size(m, border) for m in g.shape),
+                            shift=border)
     return _convolve(g * h, khat_t, wy + 2 * border, wx + 2 * border)
 
 
 def _cauchy_size(m, border):
     """Cyclic grid size of the Cauchy step along an axis of m cells."""
     return _next_5_smooth(2 * (m + border))
-
-
-@functools.lru_cache(maxsize=4)
-def _cauchy_gain(m, border):
-    """l2 norm of the unit-cell Cauchy kernel of the Cauchy step's grid.
-
-    Each value of cauchy_transform(g, h, border) for an m-by-m g is h times
-    the inner product of g with part of the kernel on its M-by-M cyclic
-    grid, so by Cauchy-Schwarz it moves by at most h times this norm times
-    ||dg||_2. By Parseval the norm is ||K_hat||_F / M, read from the cache
-    entry the Cauchy step uses, so no other entry is built.
-    """
-    M = _cauchy_size(m, border)
-    khat = _cauchy_hat(M, M, shift=border)
-    return math.sqrt(np.vdot(khat, khat).real / khat.size)
 
 
 @dataclass(eq=False)
@@ -560,8 +553,9 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     is assembled as z plus the free-space Cauchy transform of h. The
     far-field tail coefficient is the discrete total integral of h over pi.
     Raises ConvergenceError if max_iter sweeps do not stop (the error carries
-    the last residual and error bound) and SupportError for unbounded
-    supports.
+    the last residual and error bound), SupportError for unbounded supports
+    and ValueError, before the first sweep, unless the sampled sup |mu| is
+    finite and < 1.
 
     Each sweep bounds the change still to come in Phi. The torus S is
     unimodular and 0 at the zero frequency, and restricting it to the
@@ -626,21 +620,23 @@ def solve_principal(mu, cfg: SolverConfig = None) -> GridMap:
     if rows.size:
         box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     mu_box = np.ascontiguousarray(mu_win[box])
-    # the kernels, before the first sweep: the Cauchy step's (through its
-    # l2 gain) and the torus S, built once per grid, and the box's S entry,
+    k = float(np.abs(mu_box).max(initial=0.0))
+    if not k < 1.0:
+        raise ValueError(f"sampled sup |mu| is {k}, must be finite and < 1")
+    # the kernels, before the first sweep: the Cauchy step's (with its l2
+    # gain) and the torus S, built once per grid, and the box's S entry,
     # sliced from a torus that reaches the whole window so that every box
     # of this grid shares it
     b = w.stop - w.start
-    kappa = h * _cauchy_gain(b, w.start)
+    M = _cauchy_size(b, w.start)
+    kappa = h * _cauchy_hat(M, M, shift=w.start)[1]
     reach = _s_size(b, n)
     _s_torus(reach, reach, (n, n))
     _s_hat(*(_s_size(m, n) for m in mu_box.shape), (n, n))
     t2 = time.perf_counter()
 
-    # a step d bounds the change still to come in Phi by gain * ||d||_2;
-    # k >= 1 can only come from rounding, and then the bound never stops
-    k = float(np.abs(mu_box).max(initial=0.0))
-    gain = kappa * k / (1.0 - k) if k < 1.0 else math.inf
+    # a step d bounds the change still to come in Phi by gain * ||d||_2
+    gain = kappa * k / (1.0 - k)
     target = 0.01 * h if cfg.tol is None else cfg.tol
     # supports are confined to the central 1/pad_factor by construction, so
     # no iterate reaches the band singular_transform warns about

@@ -17,7 +17,8 @@ from qcmap import closed_maps, extension, field, solver
 from qcmap.cli import main
 from qcmap.field import (Composite, DiskConstant, FieldError, HolderGrid,
                          SectorConstant, read_grid_samples, write_grid_samples)
-from qcmap.modulus import certify_bilipschitz
+from qcmap.modulus import (AnnulusSpec, BoundingAnnuli, certify_bilipschitz,
+                           default_eta, modulus_gap_bounds)
 from qcmap.solver import GridMap
 
 
@@ -216,6 +217,24 @@ def test_artifacts_get_the_umask_mode(tmp_path, write):
 _NAN = float("nan")
 
 
+class _DiskField:
+    """A duck-typed field: ``value`` on the closed unit disk, 0 off it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def support_radius(self):
+        return 1.0
+
+    def evaluate(self, z):
+        return np.where(np.abs(z) <= 1.0, self.value, 0j)
+
+
+def _holder(samples=((0, 0), (0, 0)), epsilon=1.0, holder_c=1.0, mask=None):
+    return HolderGrid(samples=samples, bbox=(-1, -1, 1, 1), epsilon=epsilon,
+                      holder_c=holder_c, mask=mask)
+
+
 @pytest.mark.parametrize("build", [
     lambda: closed_maps.sector_invariants(complex(_NAN), 1.0),
     lambda: closed_maps.is_allowable_sector(complex(_NAN), 1.0),
@@ -233,13 +252,61 @@ _NAN = float("nan")
                                  epsilon=1.0, holder_c=1.0)
       for box in [(_NAN, -1, 1, 1), (-1, -1, 1, math.inf), (-1, -1, 1),
                   (-1, -1, 1, 1, 2), (1, -1, 1, 1), (-1, 2, 1, 1)]),
+    # a cell side beyond the support radius: pad_factor > grid_n / 2
+    lambda: solver.SolverConfig(grid_n=64, pad_factor=1e16),
+    lambda: solver.SolverConfig(grid_n=64, pad_factor=100),
+    lambda: solver.SolverConfig(grid_n=64, max_iter=0),
+    lambda: default_eta(_NAN),
+    lambda: default_eta(math.inf),
+    # a field that is not a Beltrami coefficient fails before the first sweep
+    lambda: solver.solve_principal(_DiskField(complex(_NAN, 0)),
+                                   solver.SolverConfig(grid_n=64)),
+    lambda: solver.solve_principal(_DiskField(1.0 + 0j),
+                                   solver.SolverConfig(grid_n=64)),
+    lambda: DiskConstant(c=0.5, center=complex(math.inf, 0)),
+    lambda: DiskConstant(c=0.5, radius=0.0),
+    lambda: DiskConstant(c=0.5, radius=math.inf),
+    lambda: SectorConstant(c=0.5, theta0=1.0, beta=math.inf),
+    lambda: SectorConstant(c=0.5, theta0=1.0, radius=0.0),
+    lambda: _holder(samples=np.zeros(4)),
+    lambda: _holder(samples=np.zeros((1, 3))),
+    lambda: _holder(epsilon=0.0),
+    lambda: _holder(epsilon=1.5),
+    lambda: _holder(holder_c=-1.0),
+    lambda: _holder(holder_c=math.inf),
+    lambda: _holder(mask=np.ones((3, 3), dtype=bool)),
+    lambda: Composite(()),
+    lambda: Composite((SectorConstant(c=0.5, theta0=1.0),
+                       SectorConstant(c=0.5, theta0=1.0, beta=3.0))),
+    lambda: field.field_from_json([{"kind": "disk_constant", "c": [0.5, 0]}]),
+    lambda: modulus_gap_bounds(BoundingAnnuli(0j, 1.0, 1.0, 10.0, 1e6),
+                               default_eta(1.0), AnnulusSpec(0j, 1.0, 2.0)),
+    lambda: certify_bilipschitz(closed_maps.fc_map(0.5), [], bound=1.0),
+    lambda: certify_bilipschitz(closed_maps.fc_map(0.5), [0, 1], bound=1.0,
+                                annuli_per_center=0),
+    lambda: solver.singular_transform(np.ones(4)),
+    lambda: GridMap(bbox=(-1, -1, 1, 1), values=np.zeros(4)),
+    lambda: extension.mu_F(extension.CircleHomeo.identity(), 0j),
+    lambda: extension.mu_F(extension.CircleHomeo.identity(), 1.0),
 ], ids=["sector_invariants", "is_allowable_sector", "fangle_map",
         "compose_dilatation", "SolverConfig", "SolverConfig_tol_inf",
         "certify_bound_inf", "certify_bound_nan", "GridMap_tail_nan",
         "HolderGrid_bbox_inf", "HolderGrid_bbox_nan",
         "HolderGrid_bbox_ymax_inf", "HolderGrid_bbox_3_values",
         "HolderGrid_bbox_5_values", "HolderGrid_bbox_xmin_eq_xmax",
-        "HolderGrid_bbox_ymin_gt_ymax"])
+        "HolderGrid_bbox_ymin_gt_ymax", "SolverConfig_pad_1e16",
+        "SolverConfig_pad_100", "SolverConfig_max_iter_0", "default_eta_nan",
+        "default_eta_inf", "solve_nan_field", "solve_unit_field",
+        "DiskConstant_center_inf", "DiskConstant_radius_0",
+        "DiskConstant_radius_inf", "SectorConstant_beta_inf",
+        "SectorConstant_radius_0", "HolderGrid_samples_1d",
+        "HolderGrid_samples_1x3", "HolderGrid_epsilon_0",
+        "HolderGrid_epsilon_1.5", "HolderGrid_holder_c_negative",
+        "HolderGrid_holder_c_inf", "HolderGrid_mask_shape", "Composite_empty",
+        "Composite_two_unbounded", "field_spec_not_an_object",
+        "modulus_gap_wider_than_C_K", "certify_empty_test_set",
+        "certify_no_annuli", "singular_transform_1d", "GridMap_values_1d",
+        "mu_F_at_0", "mu_F_at_1"])
 def test_nan_inputs_are_rejected_where_they_enter(build):
     with pytest.raises(ValueError):
         build()

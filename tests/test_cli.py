@@ -221,9 +221,13 @@ _GRID_SPEC = {"kind": "holder_grid", "bbox": [-1, -1, 1, 1], "n": [2, 2],
     (_GRID_SPEC, FIELD_MAGIC + struct.pack("<II", 2, 2) + bytes(16 * 4 + 3)),
     ({"kind": "composite", "members": ["field.json"]}, None),
     ({"kind": "disk_constant", "c": ["0.5", 0]}, None),
+    (_GRID_SPEC, FIELD_MAGIC + struct.pack("<II", 2, 2)
+     + struct.pack("<8d", math.nan, *[0.0] * 7)),
+    ([{"kind": "disk_constant", "c": [0.5, 0]}], None),
 ], ids=["missing-c", "non-numeric-c", "non-numeric-radius",
         "members-not-a-list", "10-byte-mu-bin", "ragged-mu-bin",
-        "composite-includes-itself", "string-c"])
+        "composite-includes-itself", "string-c", "nan-mu-bin",
+        "spec-not-an-object"])
 def test_solve_rejects_malformed_field_with_exit_two(tmp_path, capsys, spec,
                                                      mu_bin):
     if mu_bin is not None:
@@ -234,6 +238,48 @@ def test_solve_rejects_malformed_field_with_exit_two(tmp_path, capsys, spec,
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pad_factor", ["100", "1e308"])
+def test_solve_pad_factor_beyond_half_the_grid_exits_two(tmp_path, capsys,
+                                                        pad_factor):
+    # past grid_n / 2 a cell side is larger than the support radius
+    fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.5, 0]})
+    out = tmp_path / "m.qcmap"
+    rc = main(["solve", "--field", str(fld), "--grid-n", "64",
+               "--pad-factor", pad_factor, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: need 2 <= pad_factor <= grid_n / 2 = 32\n"
+    assert not out.exists()
+
+
+def test_solve_of_overlapping_composite_members_exits_two(tmp_path, capsys):
+    # two sectors that share a wedge 1e-4 rad wide, which the composite's
+    # disjointness sampler misses and the n=256 grid samples
+    fld = _write_field(tmp_path, {"kind": "composite", "members": [
+        {"kind": "sector_constant", "c": [0.6, 0], "theta0": 1.0,
+         "beta": beta, "radius": 1.0} for beta in (0.0, 0.9999)]})
+    out = tmp_path / "m.qcmap"
+    rc = main(["solve", "--field", str(fld), "--grid-n", "256",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "overlap" in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_of_a_disk_between_the_nodes_reports_no_oracle(tmp_path,
+                                                             capsys):
+    # no node lies within two radii of this disk's center, so the oracle
+    # has nothing to compare; the solve still writes its map and succeeds
+    fld = _write_field(tmp_path, {"kind": "disk_constant", "c": [0.5, 0],
+                                  "center": [10, 0], "radius": 0.01})
+    out = tmp_path / "m.qcmap"
+    rc, rep = run_cli(capsys, "solve", "--field", str(fld), "--grid-n", "64",
+                      "--out", str(out))
+    assert rc == 0 and out.exists()
+    assert "oracle_sup_error" not in rep["result"]
 
 
 def test_unwritable_output_path_exits_two(tmp_path, capsys):
@@ -636,10 +682,11 @@ def test_fangle_ray_renders_as_log_spiral(capsys):
      "--bound", "1"],
     ["certify", "--map", "builtin:nope", "--centers", "0,0;1,0",
      "--bound", "1"],
+    ["allowable", "--theta0", "1", "--c", "1,2,3"],
 ], ids=["c", "beta", "fangle_c", "fc_c", "center", "nan_center", "bound",
         "pad_factor", "theta0-and-alpha", "beta-without-alpha", "no-mode",
         "grid-no-width", "grid-zero", "no-centers", "fangle-no-theta0",
-        "unknown-builtin"])
+        "unknown-builtin", "c-three-parts"])
 def test_nonfinite_or_malformed_number_exits_two(tmp_path, capsys, argv):
     _write_field(tmp_path, {"kind": "disk_constant", "c": [0.5, 0]})
     argv = [a.format(tmp=tmp_path) for a in argv]

@@ -153,6 +153,11 @@ def test_fangle_identity_for_zero_c():
     np.testing.assert_allclose(eval_fangle(s, z), z, atol=1e-12)
 
 
+def test_fangle_needs_the_sector_invariants():
+    with pytest.raises(TypeError, match="SectorMapSpec"):
+        eval_fangle(DiskMapSpec(0.5), 1.0)
+
+
 def test_fangle_fixes_one():
     for c, th0 in ((0.5, math.pi / 2), (0.2 - 0.1j, 1.0), (-0.3j, 4.0)):
         s = sector_invariants(c, th0)

@@ -111,6 +111,20 @@ def test_composite_dispatch_and_disjointness():
         Composite((DiskConstant(c=0.4), DiskConstant(c=0.2, center=0.5)))
 
 
+def test_composite_evaluate_raises_where_members_overlap():
+    # the members overlap in a wedge 1e-4 rad wide, which the 96x96
+    # disjointness sampler misses; evaluating there must not add them up
+    spec = {"kind": "composite", "members": [
+        {"kind": "sector_constant", "c": [0.6, 0], "theta0": 1.0,
+         "beta": beta, "radius": 1.0} for beta in (0.0, 0.9999)]}
+    comp = field_from_json(spec)
+    assert comp.evaluate(0.5 * np.exp(0.5j)) == 0.6
+    with pytest.raises(FieldError, match="overlap"):
+        comp.evaluate(0.5 * np.exp(0.99995j))
+    with pytest.raises(FieldError, match="overlap"):
+        comp.evaluate(np.array([0.5j, 0.5 * np.exp(0.99995j)]))
+
+
 def test_composite_support_radius():
     comp = Composite((DiskConstant(c=0.1, center=3.0, radius=0.5),
                       DiskConstant(c=0.2, center=-1.0, radius=0.25)))

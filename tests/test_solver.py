@@ -24,6 +24,8 @@ from qcmap.solver import (ConvergenceError, GridMap, SolverConfig,
                           finite_difference_mu, grid_coordinates,
                           singular_transform, solve_principal)
 
+from test_package import _fresh_python
+
 
 def _reference_cell_kernel(U, hx, hy):
     """Per-cell four-corner closed form of the hx-by-hy cell kernel."""
@@ -58,7 +60,6 @@ def _bump_grid(n=256, L=4.0, center=0.0, sigma=0.5):
 
 def _clear_kernel_caches():
     solver._cauchy_hat.cache_clear()
-    solver._cauchy_gain.cache_clear()
     solver._s_hat.cache_clear()
     solver._S_TORUS.clear()
 
@@ -330,8 +331,8 @@ def test_transform_caches_are_read_only():
     _clear_kernel_caches()
     torus = solver._s_hat(64, 64, (64, 64))
     folded = solver._s_hat(36, 36, (64, 64))
-    khat = solver._cauchy_hat(128, 128)
-    shifted = solver._cauchy_hat(90, 90, shift=23)
+    khat, _ = solver._cauchy_hat(128, 128)
+    shifted, _ = solver._cauchy_hat(90, 90, shift=23)
     for arr in (torus, folded, khat, shifted, solver._S_TORUS[(64, 64)]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -406,7 +407,7 @@ def test_pruned_inverse_ffts_equal_full_ifft2(period, shape, h):
 
     border = 3
     M = [solver._next_5_smooth(2 * (b + border)) for b in shape]
-    khat = solver._cauchy_hat(*M, shift=border)
+    khat, _ = solver._cauchy_hat(*M, shift=border)
     ref = unpruned(w * h, M, khat)[:wy + 2 * border, :wx + 2 * border]
     assert np.array_equal(cauchy_transform(w, h, border), ref)
 
@@ -441,7 +442,8 @@ def test_solve_matches_full_grid_neumann_loop(pad_factor):
     m = solver._sample_mu(mu, Z, xs[1] - xs[0])
     w = solver._support_window(cfg.grid_n, pad_factor)
     k = float(np.abs(m).max())
-    gain = h * solver._cauchy_gain(w.stop - w.start, w.start) * k / (1 - k)
+    M = solver._cauchy_size(w.stop - w.start, w.start)
+    gain = h * solver._cauchy_hat(M, M, shift=w.start)[1] * k / (1 - k)
     cur = m.copy()
     for it in range(1, cfg.max_iter + 1):
         nxt = m * singular_transform(cur) + m
@@ -609,6 +611,27 @@ def test_nonconvergence_error_carries_the_error_bound():
     assert ei.value.error_bound > 0.01 * 8 / 64
 
 
+@pytest.mark.parametrize("call", [
+    "solver.singular_transform(np.zeros((0, 4)))",
+    "solver.cauchy_transform(np.zeros((0, 0)), 0.1)",
+    "solver.solve_principal(DiskConstant(c=0.5), solver.SolverConfig("
+    "grid_n=64, pad_factor=1e16))",
+], ids=["singular_transform", "cauchy_transform", "solve_pad_1e16"])
+def test_degenerate_grids_raise_instead_of_looping(call, tmp_path):
+    # each call runs in a child process with a timeout, so a call that loops
+    # fails the test instead of stopping the suite
+    code = f"""if True:
+        import numpy as np
+        from qcmap import solver
+        from qcmap.field import DiskConstant
+        try:
+            {call}
+        except ValueError as exc:
+            print("ValueError:", exc)
+    """
+    assert _fresh_python(code, tmp_path).startswith("ValueError:")
+
+
 def test_solve_rejects_unbounded_support():
     with pytest.raises(SupportError):
         solve_principal(SectorConstant(c=0.3, theta0=1.0),
@@ -680,7 +703,8 @@ def _window_loop(mu, cfg):
     w = solver._support_window(n, cfg.pad_factor)
     mu_win = solver._sample_mu(mu, Z[w, w], xs[1] - xs[0])
     k = float(np.abs(mu_win).max())
-    gain = h * solver._cauchy_gain(w.stop - w.start, w.start) * k / (1 - k)
+    M = solver._cauchy_size(w.stop - w.start, w.start)
+    gain = h * solver._cauchy_hat(M, M, shift=w.start)[1] * k / (1 - k)
     target = 0.01 * h if cfg.tol is None else cfg.tol
     x = mu_win
     for it in range(1, cfg.max_iter + 1):
@@ -809,7 +833,7 @@ def test_boxes_of_one_grid_share_the_kernel_builds(monkeypatch):
     box = [solver._s_size(b, 128)
            for b in solve_principal(mu, cfg).sweep_cells]
     for arr in (solver._S_TORUS[(128, 128)],
-                solver._cauchy_hat(m, m, shift=w.start),
+                solver._cauchy_hat(m, m, shift=w.start)[0],
                 solver._s_hat(*box, (128, 128))):
         assert not arr.flags.writeable
     assert len(calls) == 2
